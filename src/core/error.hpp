@@ -68,7 +68,12 @@ namespace detail {
 
 /// Validates a documented precondition of a public API and throws
 /// InvalidArgument with the given message if it does not hold.
-inline void require(bool condition, const std::string& message) {
+///
+/// The message is a `const char*` (in practice a string literal), so a
+/// check that passes costs one branch: no std::string is built unless
+/// the check fails. A caller that needs a formatted message tests the
+/// condition itself and throws InvalidArgument on failure.
+inline void require(bool condition, const char* message) {
   if (!condition) {
     throw InvalidArgument(message);
   }

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <exception>
 #include <thread>
@@ -32,10 +33,9 @@ inline constexpr std::size_t kMinItemsPerThread = 16;
 /// kMinItemsPerThread items (tiny batches run serial). Monotone in
 /// `threads`, and always >= 1.
 inline std::size_t resolve_threads(std::size_t threads, std::size_t items) {
-  std::size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) {
-    hw = 1;
-  }
+  // Read once per process: the query costs microseconds, and this runs on
+  // every recognize_batch.
+  static const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   if (threads == 0 || threads > hw) {
     threads = hw;
   }

@@ -1,5 +1,6 @@
 #include "datapath/dtcs_dac.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "core/error.hpp"
@@ -7,7 +8,7 @@
 namespace spinsim {
 
 double DtcsDacDesign::unit_conductance() const {
-  require(bits >= 1 && bits <= 10, "DtcsDacDesign: bits must be 1..10");
+  require(bits >= 1 && bits <= kMaxBits, "DtcsDacDesign: bits must be 1..10");
   require(delta_v > 0.0 && full_scale_current > 0.0, "DtcsDacDesign: bad electrical targets");
   return full_scale_current / (delta_v * static_cast<double>(max_code()));
 }
@@ -38,6 +39,7 @@ MosGeometry bit_geometry(const DtcsDacDesign& design, unsigned bit, const Tech45
 }  // namespace
 
 DtcsDac::DtcsDac(const DtcsDacDesign& design, const Tech45& tech) : design_(design) {
+  bit_devices_.reserve(design.bits);
   for (unsigned k = 0; k < design.bits; ++k) {
     bit_devices_.emplace_back(bit_geometry(design, k, tech), tech);
   }
@@ -45,6 +47,7 @@ DtcsDac::DtcsDac(const DtcsDacDesign& design, const Tech45& tech) : design_(desi
 }
 
 DtcsDac::DtcsDac(const DtcsDacDesign& design, Rng& rng, const Tech45& tech) : design_(design) {
+  bit_devices_.reserve(design.bits);
   for (unsigned k = 0; k < design.bits; ++k) {
     bit_devices_.emplace_back(bit_geometry(design, k, tech), rng, tech,
                               design.sigma_vt_override);
@@ -54,14 +57,18 @@ DtcsDac::DtcsDac(const DtcsDacDesign& design, Rng& rng, const Tech45& tech) : de
 
 void DtcsDac::build_code_table() {
   // Realised per-bit conductances are frozen once the devices exist, so
-  // every code's G_T is a sum known now. code k+1 reuses code k's prefix
-  // via the binary decomposition: g(code) = sum of set bits.
+  // each device is evaluated once and every code's G_T is the sum of its
+  // set bits, accumulated in ascending-bit order.
+  std::array<double, DtcsDacDesign::kMaxBits> bit_conductance{};
+  for (unsigned k = 0; k < design_.bits; ++k) {
+    bit_conductance[k] = bit_devices_[k].triode_conductance(design_.gate_drive);
+  }
   code_conductance_.assign(design_.max_code() + 1u, 0.0);
   for (std::uint32_t code = 1; code <= design_.max_code(); ++code) {
     double g = 0.0;
     for (unsigned k = 0; k < design_.bits; ++k) {
       if ((code >> k) & 1u) {
-        g += bit_devices_[k].triode_conductance(design_.gate_drive);
+        g += bit_conductance[k];
       }
     }
     code_conductance_[code] = g;

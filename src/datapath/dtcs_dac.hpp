@@ -24,7 +24,9 @@ namespace spinsim {
 
 /// Electrical design of one DTCS DAC instance.
 struct DtcsDacDesign {
-  unsigned bits = 5;
+  static constexpr unsigned kMaxBits = 10;
+
+  unsigned bits = 5;  ///< 1..kMaxBits
   double full_scale_current = 10e-6;  ///< target I at top code into an ideal load [A]
   double delta_v = 30e-3;             ///< drain-source drop [V]
   double gate_drive = 0.53;           ///< |VGS| of an enabled device [V]

@@ -8,7 +8,9 @@
 namespace spinsim {
 
 void PowerReport::add(std::string name, PowerKind kind, Power power) {
-  require(power >= Power{}, "PowerReport::add: negative power for '" + name + "'");
+  if (!(power >= Power{})) {  // also rejects NaN
+    throw InvalidArgument("PowerReport::add: negative power for '" + name + "'");
+  }
   items_.push_back({std::move(name), kind, power});
 }
 

@@ -31,6 +31,7 @@
 #include "amm/spin_amm.hpp"
 #include "amm/tiered_engine.hpp"
 #include "core/random.hpp"
+#include "support/random_features.hpp"
 #include "support/shared_dataset.hpp"
 
 namespace spinsim {
@@ -225,21 +226,6 @@ TEST(EngineConformance, BatchMatchesSequentialAllBackends) {
 using MakeEngine =
     std::function<std::unique_ptr<AssociativeEngine>(std::size_t templates, std::uint64_t seed)>;
 
-FeatureVector random_feature_vector(const FeatureSpec& spec, Rng& rng) {
-  FeatureVector f;
-  f.spec = spec;
-  const double top = static_cast<double>(spec.levels() - 1);
-  f.analog.resize(spec.dimension());
-  f.digital.resize(spec.dimension());
-  for (std::size_t i = 0; i < spec.dimension(); ++i) {
-    const auto level = static_cast<std::uint32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(spec.levels()) - 1));
-    f.digital[i] = level;
-    f.analog[i] = static_cast<double>(level) / top;
-  }
-  return f;
-}
-
 FeatureVector zero_feature_vector(const FeatureSpec& spec) {
   FeatureVector f;
   f.spec = spec;
@@ -259,12 +245,12 @@ void run_randomized_trial(const std::string& label, const MakeEngine& make, std:
   std::vector<FeatureVector> stored;
   stored.reserve(templates);
   for (std::size_t j = 0; j < templates; ++j) {
-    stored.push_back(random_feature_vector(spec, rng));
+    stored.push_back(testing::random_feature_vector(spec, rng));
   }
 
   std::vector<FeatureVector> queries;
   for (std::size_t q = 0; q < 6; ++q) {
-    queries.push_back(random_feature_vector(spec, rng));
+    queries.push_back(testing::random_feature_vector(spec, rng));
   }
   for (std::size_t q = 0; q < 3; ++q) {
     // Near-template probes keep the trial from living only in the

@@ -1,10 +1,13 @@
 # Negative compile tests, two families:
 #
-#   case_fail_*.cpp     — Quantity dimensional-analysis violations the
-#                         type system must reject on every compiler
-#                         (adding mismatched dimensions, assigning across
-#                         dimensions, passing a raw double where a typed
-#                         quantity is required).
+#   case_fail_*.cpp     — API misuse the type system must reject on
+#                         every compiler: Quantity dimensional-analysis
+#                         violations (adding mismatched dimensions,
+#                         assigning across dimensions, passing a raw
+#                         double where a typed quantity is required) and
+#                         a formatted std::string passed to require().
+#                         Each case's header comment names what it
+#                         violates.
 #   case_tsa_fail_*.cpp — locking-discipline violations clang's Thread
 #                         Safety Analysis must reject under
 #                         -Wthread-safety -Wthread-safety-beta -Werror
@@ -42,8 +45,8 @@ foreach(_case ${_cf_cases})
               CXX_STANDARD 17 CXX_STANDARD_REQUIRED ON)
   if(_cf_built)
     message(FATAL_ERROR
-            "compile_fail: ${_name} compiled but must not — the Quantity "
-            "layer no longer rejects this dimensional-analysis violation")
+            "compile_fail: ${_name} compiled but must not — the API no "
+            "longer rejects the misuse described at the top of ${_case}")
   endif()
   message(STATUS "compile_fail: ${_name} rejected as required")
 endforeach()

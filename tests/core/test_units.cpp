@@ -24,6 +24,7 @@
 #include "amm/spin_amm.hpp"
 #include "amm/tiered_engine.hpp"
 #include "core/random.hpp"
+#include "support/random_features.hpp"
 
 namespace spinsim {
 namespace {
@@ -134,21 +135,6 @@ FeatureSpec small_spec() {
   return s;
 }
 
-FeatureVector random_feature(const FeatureSpec& spec, Rng& rng) {
-  FeatureVector f;
-  f.spec = spec;
-  const double top = static_cast<double>(spec.levels() - 1);
-  f.analog.resize(spec.dimension());
-  f.digital.resize(spec.dimension());
-  for (std::size_t i = 0; i < spec.dimension(); ++i) {
-    const auto level = static_cast<std::uint32_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(spec.levels()) - 1));
-    f.digital[i] = level;
-    f.analog[i] = static_cast<double>(level) / top;
-  }
-  return f;
-}
-
 struct EngineBaseline {
   const char* name;
   double epq_pre;     ///< energy_per_query().si() right after store_templates
@@ -172,7 +158,9 @@ TEST(UnitsRegression, EnergyPerQueryBitIdenticalAcrossAllSixEngines) {
   const std::size_t templates = 12;
   Rng rng(seed);
   std::vector<FeatureVector> stored;
-  for (std::size_t j = 0; j < templates; ++j) stored.push_back(random_feature(small_spec(), rng));
+  for (std::size_t j = 0; j < templates; ++j) {
+    stored.push_back(testing::random_feature_vector(small_spec(), rng));
+  }
 
   HierarchicalAmmConfig hc;
   hc.features = small_spec();
@@ -235,7 +223,9 @@ TEST(UnitsRegression, EnergyPerQueryBitIdenticalAcrossAllSixEngines) {
 
   Rng qrng(seed + 1);
   std::vector<FeatureVector> queries;
-  for (int q = 0; q < 8; ++q) queries.push_back(random_feature(small_spec(), qrng));
+  for (int q = 0; q < 8; ++q) {
+    queries.push_back(testing::random_feature_vector(small_spec(), qrng));
+  }
 
   for (std::size_t i = 0; i < engines.size(); ++i) {
     auto& [name, engine] = engines[i];

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "core/statistics.hpp"
 #include "core/units.hpp"
 
@@ -126,6 +128,41 @@ TEST(DtcsDac, ThreeBitVariant) {
   const DtcsDac dac(d);
   EXPECT_EQ(d.max_code(), 7u);
   EXPECT_NEAR(dac.output_current(7, 0.0), 10e-6, 0.3e-6);
+}
+
+// %a captures of every code's conductance (paper_design(), Rng(2013),
+// Pelgrom mismatch), taken while the table still re-evaluated each bit
+// device for every code. The table sums set bits in ascending-bit order;
+// any other order rounds differently, so these pin it.
+constexpr double kMismatch3Bit[] = {
+    0x0p+0, 0x1.9bb06700e0b68p-15, 0x1.9091110343e24p-14, 0x1.2f34a241da1ecp-13,
+    0x1.8f084fcf5b797p-13, 0x1.f5f4698f93a71p-13, 0x1.2ba86c287eb54p-12, 0x1.5f1e79089acc2p-12,
+};
+constexpr double kMismatch5Bit[] = {
+    0x0p+0, 0x1.80326093e38bbp-17, 0x1.6ac6038a06bbcp-16, 0x1.156f99e9fc40dp-15,
+    0x1.67facebc70131p-15, 0x1.c80766e168f6p-15, 0x1.0eaee840b9b88p-14, 0x1.3eb534533629fp-14,
+    0x1.5d59b934dee8fp-14, 0x1.8d6005475b5a6p-14, 0x1.b80b3a176097ep-14, 0x1.e8118629dd096p-14,
+    0x1.08ab90498b794p-13, 0x1.20aeb652c9b2p-13, 0x1.360450bacc50cp-13, 0x1.4e0776c40a897p-13,
+    0x1.68952017bae21p-13, 0x1.80984620f91adp-13, 0x1.95ede088fbb98p-13, 0x1.adf1069239f24p-13,
+    0x1.c293d3c6d6e6dp-13, 0x1.da96f9d0151f9p-13, 0x1.efec943817be5p-13, 0x1.03f7dd20aafb8p-12,
+    0x1.0ba0fe59152b4p-12, 0x1.17a2915db447ap-12, 0x1.224d5e91b597p-12, 0x1.2e4ef19654b36p-12,
+    0x1.38a05830a32dap-12, 0x1.44a1eb35424ap-12, 0x1.4f4cb86943996p-12, 0x1.5b4e4b6de2b5cp-12,
+};
+
+void expect_table(unsigned bits, const double* expected) {
+  DtcsDacDesign d = paper_design();
+  d.bits = bits;
+  Rng rng(2013);
+  const DtcsDac dac(d, rng);
+  for (std::uint32_t code = 0; code <= d.max_code(); ++code) {
+    EXPECT_EQ(dac.conductance(code), expected[code]) << bits << "-bit code " << code;
+  }
+}
+
+TEST(DtcsDac, MismatchCodeTableBitIdentical) {
+  static_assert(std::size(kMismatch3Bit) == 8 && std::size(kMismatch5Bit) == 32);
+  expect_table(3, kMismatch3Bit);
+  expect_table(5, kMismatch5Bit);
 }
 
 }  // namespace
