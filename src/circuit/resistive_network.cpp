@@ -193,23 +193,38 @@ const std::vector<double>& ResistiveNetwork::solve_factored() {
   return solution_;
 }
 
-std::vector<double> ResistiveNetwork::influence(RNode observe) {
-  require(observe < node_count(), "ResistiveNetwork::influence: unknown node");
-  factorize();
-  std::vector<double> out(node_count(), 0.0);
-  const std::ptrdiff_t ro = reduced_index_[observe];
-  if (ro < 0) {
-    return out;  // pinned node: voltage is insensitive to any injection
+std::vector<double> ResistiveNetwork::influence(const std::vector<RNode>& observe,
+                                                const std::vector<RNode>& inject) {
+  for (const auto* nodes : {&observe, &inject}) {
+    for (const RNode n : *nodes) {
+      require(n < node_count(), "ResistiveNetwork::influence: unknown node");
+    }
   }
-  std::vector<double> e(reduced_a_.rows(), 0.0);
-  e[static_cast<std::size_t>(ro)] = 1.0;
-  std::vector<double> w;
-  ldlt_.solve_into(e, w);
-  // A is symmetric, so (A^-1 e_obs)[n] = dv(observe)/dI(n).
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    const std::ptrdiff_t ri = reduced_index_[i];
-    if (ri >= 0) {
-      out[i] = w[static_cast<std::size_t>(ri)];
+  factorize();
+  // Only free nodes are unknowns: a pinned node's voltage ignores every
+  // injection, and a current injected into one moves nothing, so their
+  // entries stay zero. `at` keeps each free node's place in the request.
+  const auto free_nodes = [&](const std::vector<RNode>& nodes, std::vector<std::size_t>& at,
+                              std::vector<std::size_t>& unknown) {
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      if (reduced_index_[nodes[k]] >= 0) {
+        at.push_back(k);
+        unknown.push_back(static_cast<std::size_t>(reduced_index_[nodes[k]]));
+      }
+    }
+  };
+  std::vector<std::size_t> obs_at;
+  std::vector<std::size_t> obs_unknown;
+  std::vector<std::size_t> inj_at;
+  std::vector<std::size_t> inj_unknown;
+  free_nodes(observe, obs_at, obs_unknown);
+  free_nodes(inject, inj_at, inj_unknown);
+  // A is symmetric, so (A^-1 e_observe)[inject] = dv(observe)/dI(inject).
+  const std::vector<double> block = ldlt_.inverse_entries(obs_unknown, inj_unknown);
+  std::vector<double> out(observe.size() * inject.size(), 0.0);
+  for (std::size_t a = 0; a < obs_at.size(); ++a) {
+    for (std::size_t b = 0; b < inj_at.size(); ++b) {
+      out[obs_at[a] * inject.size() + inj_at[b]] = block[a * inj_at.size() + b];
     }
   }
   return out;

@@ -83,12 +83,15 @@ class ResistiveNetwork {
   /// Nonzeros in the cached LDL^T factor (0 before factorize()).
   std::size_t factor_nnz() const { return ldlt_.factor_nnz(); }
 
-  /// Reciprocity vector of node `observe`: w[n] = d v(observe) / d I(n)
-  /// for every free node n (zero at pinned nodes; the whole vector is
-  /// zero if `observe` itself is pinned). One factored solve; this is
-  /// what lets a crossbar build its transfer operator with one solve per
-  /// *output* instead of one per input.
-  std::vector<double> influence(RNode observe);
+  /// Reciprocity block: out[j * inject.size() + c] = d v(observe[j]) /
+  /// d I(inject[c]), zero where either node is pinned. By symmetry it is
+  /// one block of the inverse conductance matrix, computed by a single
+  /// SparseLdlt::inverse_entries() call: blocked unit solves, one per
+  /// observed node, with L streamed once per block of them. This is what
+  /// lets a crossbar build its whole transfer operator in one call, from
+  /// its outputs rather than its inputs.
+  std::vector<double> influence(const std::vector<RNode>& observe,
+                                const std::vector<RNode>& inject);
 
   /// Voltage of node n after solve().
   double voltage(RNode n) const;

@@ -1,11 +1,20 @@
 #include "core/cholesky.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "core/error.hpp"
 
 namespace spinsim {
+
+namespace {
+
+/// Right-hand sides per pass of SparseLdlt::inverse_entries(), laid out
+/// node-major (w[i * kRhsBlock + r]) so one sweep over L serves them all.
+constexpr std::size_t kRhsBlock = 24;
+
+}  // namespace
 
 std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& a) {
   require(a.rows() == a.cols(), "reverse_cuthill_mckee: matrix must be square");
@@ -66,6 +75,8 @@ std::vector<std::size_t> reverse_cuthill_mckee(const CsrMatrix& a) {
 void SparseLdlt::factorize(const CsrMatrix& a, const LdltOptions& options) {
   require(a.rows() == a.cols(), "SparseLdlt::factorize: matrix must be square");
   const std::size_t n = a.rows();
+  require(n <= std::numeric_limits<std::uint32_t>::max(),
+          "SparseLdlt::factorize: dimension exceeds 32-bit row indices");
   n_ = n;
   factorized_ = false;  // stays false if a non-SPD pivot aborts below
   if (n == 0) {
@@ -193,7 +204,7 @@ void SparseLdlt::factorize(const CsrMatrix& a, const LdltOptions& options) {
       }
       const double l_ki = yi / d_[i];
       d_[k] -= l_ki * yi;
-      l_row_idx_[l_next[i]] = k;
+      l_row_idx_[l_next[i]] = static_cast<std::uint32_t>(k);
       l_values_[l_next[i]] = l_ki;
       ++l_next[i];
     }
@@ -241,6 +252,83 @@ std::vector<double> SparseLdlt::solve(const std::vector<double>& b) const {
   std::vector<double> x;
   solve_into(b, x);
   return x;
+}
+
+std::vector<double> SparseLdlt::inverse_entries(const std::vector<std::size_t>& rows,
+                                                const std::vector<std::size_t>& cols) const {
+  constexpr std::size_t K = kRhsBlock;
+  require(factorized(), "SparseLdlt::inverse_entries: factorize() first");
+  for (const std::size_t i : rows) {
+    require(i < n_, "SparseLdlt::inverse_entries: row index out of range");
+  }
+  // Nothing below the lowest wanted position is read, so the back pass
+  // stops there.
+  std::size_t stop = n_;
+  for (const std::size_t i : cols) {
+    require(i < n_, "SparseLdlt::inverse_entries: column index out of range");
+    stop = std::min(stop, inv_perm_[i]);
+  }
+  const std::size_t n_cols = cols.size();
+  std::vector<double> out(rows.size() * n_cols);
+  if (out.empty()) {
+    return out;
+  }
+
+  // Every lane repeats solve_into()'s arithmetic in its order (column j,
+  // then entry p). Before a lane's unit entry its forward pass only
+  // subtracts +-0 from +0, so starting the block at its lowest unit entry
+  // changes no bit; unused lanes of a short last block stay zero.
+  std::vector<double> w(n_ * K);
+  for (std::size_t b0 = 0; b0 < rows.size(); b0 += K) {
+    const std::size_t lanes = std::min(K, rows.size() - b0);
+    std::size_t start = n_;
+    for (std::size_t r = 0; r < lanes; ++r) {
+      start = std::min(start, inv_perm_[rows[b0 + r]]);
+    }
+    const std::size_t lo = std::min(start, stop);
+    std::fill(w.begin() + static_cast<std::ptrdiff_t>(lo * K), w.end(), 0.0);
+    for (std::size_t r = 0; r < lanes; ++r) {
+      w[inv_perm_[rows[b0 + r]] * K + r] = 1.0;
+    }
+    // L Z = P E (unit lower triangle).
+    for (std::size_t j = start; j < n_; ++j) {
+      double zj[K];
+      std::copy_n(&w[j * K], K, zj);
+      for (std::size_t p = l_col_ptr_[j]; p < l_col_ptr_[j + 1]; ++p) {
+        double* wi = &w[std::size_t{l_row_idx_[p]} * K];
+        const double l = l_values_[p];
+        for (std::size_t r = 0; r < K; ++r) {
+          wi[r] -= l * zj[r];
+        }
+      }
+    }
+    // D W = Z.
+    for (std::size_t j = stop; j < n_; ++j) {
+      for (std::size_t r = 0; r < K; ++r) {
+        w[j * K + r] /= d_[j];
+      }
+    }
+    // L^T Y = W, down to the lowest wanted position.
+    for (std::size_t j = n_; j-- > stop;) {
+      double yj[K];
+      std::copy_n(&w[j * K], K, yj);
+      for (std::size_t p = l_col_ptr_[j]; p < l_col_ptr_[j + 1]; ++p) {
+        const double* wi = &w[std::size_t{l_row_idx_[p]} * K];
+        const double l = l_values_[p];
+        for (std::size_t r = 0; r < K; ++r) {
+          yj[r] -= l * wi[r];
+        }
+      }
+      std::copy_n(yj, K, &w[j * K]);
+    }
+    for (std::size_t r = 0; r < lanes; ++r) {
+      double* dst = &out[(b0 + r) * n_cols];
+      for (std::size_t c = 0; c < n_cols; ++c) {
+        dst[c] = w[inv_perm_[cols[c]] * K + r];
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace spinsim

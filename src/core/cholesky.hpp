@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/sparse.hpp"
@@ -63,6 +64,18 @@ class SparseLdlt {
   /// Allocation-free variant; x is resized as needed.
   void solve_into(const std::vector<double>& b, std::vector<double>& x) const;
 
+  /// A block of the inverse: out[j * cols.size() + c] = (A^-1)(rows[j],
+  /// cols[c]), bit-identical to solve(e_rows[j])[cols[c]]. The unit
+  /// right-hand sides are solved a fixed-size block at a time, streaming L
+  /// once per block instead of once per row. A block's forward pass starts
+  /// at its lowest permuted unit entry and the back pass stops at the
+  /// lowest permuted wanted entry, which skips only arithmetic that leaves
+  /// +0 or is never read; rows close in the permuted order therefore
+  /// share the most work. Indices may repeat and come in any order.
+  /// Throws InvalidArgument if not factorized or an index is out of range.
+  std::vector<double> inverse_entries(const std::vector<std::size_t>& rows,
+                                      const std::vector<std::size_t>& cols) const;
+
  private:
   std::size_t n_ = 0;
   bool factorized_ = false;
@@ -70,7 +83,7 @@ class SparseLdlt {
   std::vector<std::size_t> inv_perm_;  // old -> new
   // L in compressed-column form (strictly lower triangle), D diagonal.
   std::vector<std::size_t> l_col_ptr_;
-  std::vector<std::size_t> l_row_idx_;
+  std::vector<std::uint32_t> l_row_idx_;  // a quarter off the factor's bytes
   std::vector<double> l_values_;
   std::vector<double> d_;
   mutable std::vector<double> work_;  // permuted rhs / solution scratch

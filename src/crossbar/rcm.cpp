@@ -331,8 +331,6 @@ void RcmArray::ensure_transfer(double v_bias) {
   if (transfer_built_) {
     return;
   }
-  const std::size_t rows = config_.rows;
-  const std::size_t cols = config_.cols;
   const double g_seg = 1.0 / config_.segment_resistance();
 
   // Baseline: column currents with no injections (exactly zero for a
@@ -342,16 +340,12 @@ void RcmArray::ensure_transfer(double v_bias) {
   net_->solve_factored();
   transfer_offset_ = extract_column_currents(v_bias);
 
-  // By reciprocity one factored solve per *output* column suffices:
-  // T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r). cols solves instead
-  // of rows solves, and cols <= rows for every paper configuration.
-  transfer_.assign(cols * rows, 0.0);
-  for (std::size_t j = 0; j < cols; ++j) {
-    const std::vector<double> w = net_->influence(col_last_nodes_[j]);
-    double* t_row = &transfer_[j * rows];
-    for (std::size_t r = 0; r < rows; ++r) {
-      t_row[r] = g_seg * w[row_input_nodes_[r]];
-    }
+  // By reciprocity T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r): one
+  // unit solve per *output* column, and the influence block already comes
+  // in the operator's layout (transfer_[j * rows + r]).
+  transfer_ = net_->influence(col_last_nodes_, row_input_nodes_);
+  for (double& t : transfer_) {
+    t = g_seg * t;
   }
   transfer_built_ = true;
 }

@@ -63,7 +63,7 @@ struct RcmConfig {
 enum class CrossbarSolver {
   kCg,        ///< iterative CG per query (reference path)
   kFactored,  ///< LDL^T factored once, two triangular solves per query
-  kTransfer,  ///< precomputed rows x cols transfer operator, dense matvec
+  kTransfer,  ///< transfer operator from one blocked solve, then a matvec
 };
 
 /// One programmed crossbar.
@@ -152,7 +152,8 @@ class RcmArray {
 
   /// Selects the parasitic evaluation algorithm. All three paths agree to
   /// solver tolerance; kTransfer (the default) amortizes one factorization
-  /// plus `cols` triangular solves across every subsequent query, which
+  /// plus one blocked multi-right-hand-side solve for the whole operator
+  /// (ResistiveNetwork::influence) across every subsequent query, which
   /// then costs a dense rows x cols matvec.
   void set_parasitic_solver(CrossbarSolver solver) { solver_ = solver; }
   CrossbarSolver parasitic_solver() const { return solver_; }

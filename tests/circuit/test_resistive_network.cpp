@@ -256,21 +256,32 @@ TEST(ResistiveNetwork, FactoredSolveTracksStructureChanges) {
 }
 
 TEST(ResistiveNetwork, InfluenceMatchesFiniteDifference) {
-  // dv(observe)/dI(n) from influence() must equal the voltage change per
-  // unit injected current measured by two solves.
+  // Every entry dv(observe[j])/dI(inject[c]) of the influence block must
+  // equal the voltage change per unit injected current measured by two
+  // solves.
   std::vector<RNode> nodes;
   ResistiveNetwork net = random_grounded_network(30, 77, &nodes);
-  const RNode observe = nodes[7];
-  const RNode poke = nodes[19];
-  const std::vector<double> w = net.influence(observe);
+  const std::vector<RNode> observe = {nodes[7], nodes[2]};
+  const std::vector<RNode> poke = {nodes[19], nodes[7], nodes[0]};
+  const std::vector<double> w = net.influence(observe, poke);
+  ASSERT_EQ(w.size(), observe.size() * poke.size());
 
-  net.solve_factored();
-  const double v0 = net.voltage(observe);
   const double delta = 1e-6;
-  net.inject_current(poke, delta);
-  net.solve_factored();
-  const double v1 = net.voltage(observe);
-  EXPECT_NEAR(w[poke], (v1 - v0) / delta, 1e-6 * std::abs(w[poke]) + 1e-15);
+  for (std::size_t c = 0; c < poke.size(); ++c) {
+    net.solve_factored();
+    std::vector<double> v0;
+    for (const RNode o : observe) {
+      v0.push_back(net.voltage(o));
+    }
+    net.inject_current(poke[c], delta);
+    net.solve_factored();
+    for (std::size_t j = 0; j < observe.size(); ++j) {
+      const double dv_di = (net.voltage(observe[j]) - v0[j]) / delta;
+      const double wjc = w[j * poke.size() + c];
+      EXPECT_NEAR(wjc, dv_di, 1e-6 * std::abs(wjc) + 1e-15) << "j = " << j << ", c = " << c;
+    }
+    net.inject_current(poke[c], -delta);
+  }
 }
 
 TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
@@ -279,9 +290,14 @@ TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
   const RNode gnd = net.add_node();
   net.fix_voltage(gnd, 0.0);
   net.add_conductance(n, gnd, 1e-3);
-  const std::vector<double> w = net.influence(gnd);
-  EXPECT_EQ(w[n], 0.0);
-  EXPECT_EQ(w[gnd], 0.0);
+  // Rows observe {gnd, n}, columns inject into {n, gnd}: only (n, n) is
+  // free at both ends.
+  const std::vector<double> w = net.influence({gnd, n}, {n, gnd});
+  ASSERT_EQ(w.size(), 4u);
+  EXPECT_EQ(w[0], 0.0);
+  EXPECT_EQ(w[1], 0.0);
+  EXPECT_NEAR(w[2], 1e3, 1e-9);  // 1 / g
+  EXPECT_EQ(w[3], 0.0);
 }
 
 TEST(ResistiveNetwork, StructureChangeInvalidatesSolution) {

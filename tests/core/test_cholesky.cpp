@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "core/cg.hpp"
@@ -119,6 +120,55 @@ TEST(SparseLdlt, NoOrderingMatchesRcmOrdering) {
   for (std::size_t i = 0; i < b.size(); ++i) {
     EXPECT_NEAR(x0[i], x1[i], 1e-10 * (std::abs(x0[i]) + 1.0));
   }
+}
+
+TEST(SparseLdlt, InverseEntriesMatchSolveBitForBit) {
+  for (const bool use_rcm : {true, false}) {
+    for (const std::size_t n : {3u, 17u, 60u, 200u}) {
+      const CsrMatrix a = random_spd(n, 500 + n);
+      SparseLdlt ldlt;
+      LdltOptions options;
+      options.use_rcm_ordering = use_rcm;
+      ldlt.factorize(a, options);
+      const std::vector<std::size_t>& perm = ldlt.permutation();
+
+      // Unsorted rows holding the first and last permuted positions and a
+      // duplicate; 41 rows (prime) leave a short last block for any block
+      // size, and fewer rows than a block on the small systems.
+      std::vector<std::size_t> rows = {perm.back(), perm.front()};
+      for (std::size_t k = 0; rows.size() < std::min<std::size_t>(n, 40); ++k) {
+        rows.push_back((7 * k + 3) % n);
+      }
+      rows.push_back(perm.back());
+      // Every column, so nothing is pruned from the back pass, then only
+      // the upper half of the permuted order, descending, so it is.
+      std::vector<std::size_t> all_cols(n);
+      std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
+      std::vector<std::size_t> high_cols;
+      for (std::size_t k = n; k-- > n / 2;) {
+        high_cols.push_back(perm[k]);
+      }
+
+      for (const auto* cols : {&all_cols, &high_cols}) {
+        const std::vector<double> block = ldlt.inverse_entries(rows, *cols);
+        ASSERT_EQ(block.size(), rows.size() * cols->size());
+        for (std::size_t j = 0; j < rows.size(); ++j) {
+          std::vector<double> e(n, 0.0);
+          e[rows[j]] = 1.0;
+          const std::vector<double> x = ldlt.solve(e);
+          for (std::size_t c = 0; c < cols->size(); ++c) {
+            EXPECT_EQ(block[j * cols->size() + c], x[(*cols)[c]])
+                << "n = " << n << (use_rcm ? " rcm" : " natural") << ", row " << rows[j]
+                << ", col " << (*cols)[c];
+          }
+        }
+      }
+      EXPECT_THROW(ldlt.inverse_entries({n}, {0}), InvalidArgument);
+      EXPECT_THROW(ldlt.inverse_entries({0}, {n}), InvalidArgument);
+    }
+  }
+  SparseLdlt unfactorized;
+  EXPECT_THROW(unfactorized.inverse_entries({0}, {0}), InvalidArgument);
 }
 
 TEST(SparseLdlt, ThrowsOnIndefinite) {

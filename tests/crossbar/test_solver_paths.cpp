@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <vector>
 
 #include "core/random.hpp"
@@ -164,6 +165,48 @@ TEST(CrossbarSolverPaths, TransferBeforePrepareThrows) {
   EXPECT_THROW(rcm.column_currents_transfer(inputs), InvalidArgument);
   rcm.prepare_parasitic();
   EXPECT_NO_THROW(rcm.column_currents_transfer(inputs));
+}
+
+// %a captures of transfer-operator entries T[j][r] (8x40 array, Rng(53),
+// random_columns seed 54), taken while the operator was still built with
+// one full solve per output column. Each is g_seg * (A^-1 e_col_last_j)
+// at row r's input node, summed in the back pass's column-then-entry
+// order; swapping the reciprocity direction (solving from the inputs),
+// scaling by 1/R instead of g_seg, or reordering the back-pass sum rounds
+// some of them differently. The columns span every block of output
+// columns for any solve block of 8 to 32 right-hand sides.
+constexpr std::size_t kPinnedColumns[] = {0, 1, 9, 17, 23, 24, 32, 39};
+constexpr double kTransferFirstRow[] = {
+    0x1.e4703de1db50dp-7, 0x1.ce64d1d4ed5c7p-8, 0x1.0eccf100c2b2cp-5, 0x1.de7149366a191p-7,
+    0x1.84296f1793aeep-8, 0x1.e64f882edcf4cp-7, 0x1.7e41b54d78948p-6, 0x1.262c824530f1p-5,
+};
+constexpr double kTransferLastRow[] = {
+    0x1.c90be9fe26f1fp-6, 0x1.82702bd16f6fcp-8, 0x1.330196225f5d4p-5, 0x1.d3972513e06ffp-6,
+    0x1.16e6642bea253p-5, 0x1.fdc28c04fe783p-6, 0x1.6213e922a6a9cp-6, 0x1.1b01f6d46b9d3p-5,
+};
+
+TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
+  static_assert(std::size(kTransferFirstRow) == std::size(kPinnedColumns) &&
+                std::size(kTransferLastRow) == std::size(kPinnedColumns));
+  RcmConfig config;
+  config.rows = 8;
+  config.cols = 40;
+  RcmArray rcm(config, Rng(53));
+  rcm.program(random_columns(config.rows, config.cols, 54));
+  rcm.prepare_parasitic();
+  // With zero offset, a unit input on row r reads out column r of T.
+  const auto transfer_row = [&](std::size_t r) {
+    std::vector<double> unit(config.rows, 0.0);
+    unit[r] = 1.0;
+    return rcm.column_currents_transfer(unit);
+  };
+  const std::vector<double> first = transfer_row(0);
+  const std::vector<double> last = transfer_row(config.rows - 1);
+  for (std::size_t k = 0; k < std::size(kPinnedColumns); ++k) {
+    const std::size_t j = kPinnedColumns[k];
+    EXPECT_EQ(first[j], kTransferFirstRow[k]) << "row 0, column " << j;
+    EXPECT_EQ(last[j], kTransferLastRow[k]) << "row " << config.rows - 1 << ", column " << j;
+  }
 }
 
 TEST(CrossbarSolverPaths, EqualizeRowsStillUniform) {

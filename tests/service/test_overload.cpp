@@ -315,7 +315,10 @@ TEST(ServiceOverload, RepairRateAlarmIsEdgeTriggered) {
 
   const auto inputs = all_inputs();
   // Warm the leaf pools so slot 0 holds a programmed array to damage.
+  // A future resolves before the collector's post-delivery alarm check,
+  // so every stats read below first drains the service.
   service.submit(inputs.front()).get();
+  service.drain();
   EXPECT_EQ(service.stats().repair_alarms, 0u);
 
   // Stuck-shorts down the first physical column of shard 0's slot 0: a
@@ -332,6 +335,7 @@ TEST(ServiceOverload, RepairRateAlarmIsEdgeTriggered) {
   RecognitionServiceStats stats = service.stats();
   while (stats.leaf_devices_rewritten + stats.leaf_columns_remapped == 0 && queries < 200) {
     service.submit(inputs[queries % inputs.size()]).get();
+    service.drain();
     ++queries;
     stats = service.stats();
   }
@@ -345,6 +349,7 @@ TEST(ServiceOverload, RepairRateAlarmIsEdgeTriggered) {
   for (int i = 0; i < 5; ++i) {
     service.submit(inputs[static_cast<std::size_t>(i) % inputs.size()]).get();
   }
+  service.drain();
   const RecognitionServiceStats after = service.stats();
   EXPECT_EQ(after.repair_alarms, 1u);
   EXPECT_GT(after.repair_rate_per_kq, 0.0);
