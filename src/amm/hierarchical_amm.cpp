@@ -1,261 +1,25 @@
 #include "amm/hierarchical_amm.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "core/error.hpp"
-#include "energy/spin_power.hpp"
-
 namespace spinsim {
 
-FeatureVector centroid_to_template(const std::vector<double>& centroid, const FeatureSpec& spec) {
-  FeatureVector t;
-  t.spec = spec;
-  const double top = static_cast<double>((1u << spec.bits) - 1);
-  t.analog.resize(centroid.size());
-  t.digital.resize(centroid.size());
-  for (std::size_t i = 0; i < centroid.size(); ++i) {
-    const double clamped = std::clamp(centroid[i], 0.0, 1.0);
-    const auto level = static_cast<std::uint32_t>(std::lround(clamped * top));
-    t.digital[i] = level;
-    t.analog[i] = static_cast<double>(level) / top;
-  }
-  return t;
-}
+namespace {
 
-SpinAmmConfig hierarchical_module_config(const HierarchicalAmmConfig& config, std::size_t columns,
-                                         std::uint64_t salt) {
-  SpinAmmConfig c;
-  c.features = config.features;
-  c.templates = columns;
-  c.memristor = config.memristor;
-  c.wta_bits = config.wta_bits;
-  c.dwn = config.dwn;
-  c.delta_v = config.delta_v;
-  c.clock = config.clock;
-  c.sample_mismatch = config.sample_mismatch;
-  // The hierarchy applies the threshold to whichever DOM ends the active
-  // path (leaf, or router for singleton clusters), so the modules
-  // themselves judge every local match accepted; see recognize().
-  c.accept_threshold = 0;
-  c.seed = config.seed ^ (salt * 0x9E3779B97F4A7C15ULL + 0x1234);
+/// One slot per cluster, default write cost, endurance off.
+LeafCacheEngineConfig resident_config(const HierarchicalAmmConfig& config) {
+  LeafCacheEngineConfig c;
+  c.hierarchy = config;
+  c.leaf_slots = config.clusters;
   return c;
 }
 
-SpinAmmDesign hierarchical_module_design(const HierarchicalAmmConfig& config,
-                                         std::size_t columns) {
-  SpinAmmDesign d;
-  d.dimension = config.features.dimension();
-  d.templates = std::max<std::size_t>(columns, 2);
-  d.resolution_bits = config.wta_bits;
-  d.dwn_threshold = config.dwn.i_threshold;
-  d.delta_v = config.delta_v;
-  d.clock = config.clock;
-  return d;
-}
+}  // namespace
 
-std::vector<std::vector<std::size_t>> cluster_templates(
-    const HierarchicalAmmConfig& config, const std::vector<FeatureVector>& templates,
-    std::vector<FeatureVector>& router_templates) {
-  require(templates.size() >= config.clusters,
-          "cluster_templates: fewer templates than clusters");
-  std::vector<std::vector<double>> points;
-  points.reserve(templates.size());
-  for (const auto& t : templates) {
-    require(t.dimension() == config.features.dimension(),
-            "cluster_templates: template dimension mismatch");
-    points.push_back(t.analog);
-  }
-  Rng rng(config.seed);
-  const KMeansResult clustering =
-      kmeans(points, config.clusters, rng, config.kmeans_iterations);
-
-  std::vector<std::vector<std::size_t>> members(config.clusters);
-  for (std::size_t i = 0; i < templates.size(); ++i) {
-    members[clustering.assignment[i]].push_back(i);
-  }
-
-  router_templates.clear();
-  router_templates.reserve(config.clusters);
-  for (const auto& centroid : clustering.centroids) {
-    router_templates.push_back(centroid_to_template(centroid, config.features));
-  }
-  return members;
-}
-
-Recognition finish_routed(const Recognition& leaf, const Recognition& routed, std::size_t cluster,
-                          std::size_t global_winner, std::uint32_t accept_threshold) {
-  // The leaf margin only measures the winning cluster's local runner-up;
-  // the *global* runner-up may live in another cluster the leaf search
-  // never visited. Cap with the router's relative score gap (the same
-  // rule RecognitionService::merge applies across shards) so downstream
-  // escalation keyed on margin never sees overstated confidence. The
-  // singleton-cluster path gets the identical treatment: its router-level
-  // margin is a gap between *centroids*, not stored templates, so it too
-  // must not outrank what the router gap supports.
-  std::uint32_t router_second = 0;
-  if (const SpinRecognitionDetail* rd = routed.spin()) {
-    for (std::size_t c = 0; c < rd->wta.dom_codes.size(); ++c) {
-      if (c != routed.winner) {
-        router_second = std::max(router_second, rd->wta.dom_codes[c]);
-      }
-    }
-  }
-  Recognition out;
-  out.winner = global_winner;
-  out.unique = leaf.unique;
-  out.dom = leaf.dom;
-  out.score = static_cast<double>(out.dom);
-  if (routed.dom == 0 || out.dom == 0) {
-    // Nothing matched at the router, or the active path ended on a zero
-    // degree of match: a non-positive winner carries no confidence.
-    out.margin = 0.0;
-  } else {
-    const double router_gap = static_cast<double>(routed.dom - router_second) /
-                              static_cast<double>(routed.dom);
-    out.margin = std::min(leaf.margin, router_gap);
-  }
-  out.accepted = out.unique && out.dom >= accept_threshold;
-  out.detail = HierarchicalRecognitionDetail{cluster, routed.dom, router_second};
-  return out;
-}
-
-HierarchicalAmm::HierarchicalAmm(const HierarchicalAmmConfig& config) : config_(config) {
-  require(config.clusters >= 2, "HierarchicalAmm: need at least two clusters");
-}
+HierarchicalAmm::HierarchicalAmm(const HierarchicalAmmConfig& config)
+    : LeafCacheEngine(resident_config(config)) {}
 
 void HierarchicalAmm::store_templates(const std::vector<FeatureVector>& templates) {
-  total_templates_ = templates.size();
-
-  // 1. Cluster the template vectors; 2. router module: one column per
-  //    centroid (the schedule shared with LeafCacheEngine).
-  std::vector<FeatureVector> router_templates;
-  members_ = cluster_templates(config_, templates, router_templates);
-  router_ = std::make_unique<SpinAmm>(hierarchical_module_config(config_, config_.clusters, 0));
-  router_->store_templates(router_templates);
-
-  // 3. Leaf modules: one per non-trivial cluster. A singleton cluster
-  //    needs no second-level search.
-  leaves_.clear();
-  leaves_.resize(config_.clusters);
-  for (std::size_t c = 0; c < config_.clusters; ++c) {
-    if (members_[c].size() < 2) {
-      continue;
-    }
-    std::vector<FeatureVector> leaf_templates;
-    leaf_templates.reserve(members_[c].size());
-    for (std::size_t global : members_[c]) {
-      leaf_templates.push_back(templates[global]);
-    }
-    leaves_[c] =
-        std::make_unique<SpinAmm>(hierarchical_module_config(config_, members_[c].size(), c + 1));
-    leaves_[c]->store_templates(leaf_templates);
-  }
-}
-
-Recognition HierarchicalAmm::finish(const Recognition& leaf, const Recognition& routed,
-                                    std::size_t cluster, std::size_t global_winner) const {
-  return finish_routed(leaf, routed, cluster, global_winner, config_.accept_threshold);
-}
-
-Recognition HierarchicalAmm::recognize(const FeatureVector& input) {
-  require(router_ != nullptr, "HierarchicalAmm: store_templates() before recognition");
-
-  const Recognition routed = router_->recognize(input);
-  const std::size_t cluster = routed.winner;
-
-  const auto& member_list = members_[cluster];
-  SPINSIM_ASSERT(!member_list.empty(), "HierarchicalAmm: routed to an empty cluster");
-  if (member_list.size() == 1 || leaves_[cluster] == nullptr) {
-    // Singleton cluster: the router DOM is the only degree of match the
-    // active path produced; the accept threshold applies to it.
-    Recognition single = routed;
-    single.unique = true;
-    return finish(single, routed, cluster, member_list.front());
-  }
-
-  const Recognition leaf = leaves_[cluster]->recognize(input);
-  return finish(leaf, routed, cluster, member_list[leaf.winner]);
-}
-
-std::vector<Recognition> HierarchicalAmm::recognize_batch(const std::vector<FeatureVector>& inputs,
-                                                          std::size_t threads) {
-  require(router_ != nullptr, "HierarchicalAmm: store_templates() before recognition");
-
-  std::vector<Recognition> results(inputs.size());
-  if (inputs.empty()) {
-    return results;
-  }
-
-  // Stage 1: route every input in one router batch.
-  const std::vector<Recognition> routed = router_->recognize_batch(inputs, threads);
-
-  // Stage 2: group queries per cluster, preserving input order within
-  // each group (leaf noise draws then match the sequential schedule),
-  // and fan each group out as one leaf batch.
-  std::vector<std::vector<std::size_t>> by_cluster(config_.clusters);
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    by_cluster[routed[i].winner].push_back(i);
-  }
-
-  for (std::size_t c = 0; c < config_.clusters; ++c) {
-    if (by_cluster[c].empty()) {
-      continue;
-    }
-    const auto& member_list = members_[c];
-    SPINSIM_ASSERT(!member_list.empty(), "HierarchicalAmm: routed to an empty cluster");
-    if (member_list.size() == 1 || leaves_[c] == nullptr) {
-      for (const std::size_t i : by_cluster[c]) {
-        Recognition single = routed[i];
-        single.unique = true;
-        results[i] = finish(single, routed[i], c, member_list.front());
-      }
-      continue;
-    }
-    std::vector<FeatureVector> leaf_inputs;
-    leaf_inputs.reserve(by_cluster[c].size());
-    for (const std::size_t i : by_cluster[c]) {
-      leaf_inputs.push_back(inputs[i]);
-    }
-    const std::vector<Recognition> leaf_results = leaves_[c]->recognize_batch(leaf_inputs, threads);
-    for (std::size_t k = 0; k < by_cluster[c].size(); ++k) {
-      const std::size_t i = by_cluster[c][k];
-      results[i] = finish(leaf_results[k], routed[i], c, member_list[leaf_results[k].winner]);
-    }
-  }
-  return results;
-}
-
-const std::vector<std::size_t>& HierarchicalAmm::leaf_members(std::size_t cluster) const {
-  require(cluster < members_.size(), "HierarchicalAmm::leaf_members: out of range");
-  return members_[cluster];
-}
-
-PowerReport HierarchicalAmm::active_path_power() const {
-  require(router_ != nullptr, "HierarchicalAmm: store_templates() first");
-  std::size_t largest_leaf = 0;
-  for (const auto& m : members_) {
-    largest_leaf = std::max(largest_leaf, m.size());
-  }
-  // Router + worst-case leaf, evaluated through the same power model.
-  PowerReport combined;
-  combined.add_all_prefixed("router: ",
-                            spin_amm_power(hierarchical_module_design(config_, config_.clusters)));
-  combined.add_all_prefixed("leaf: ",
-                            spin_amm_power(hierarchical_module_design(config_, largest_leaf)));
-  return combined;
-}
-
-EnergyPerQuery HierarchicalAmm::energy_per_query() const {
-  // Router search followed by one leaf search, each an M-cycle SAR/WTA
-  // conversion of the active path's modules.
-  const Energy search = active_path_power().total() * static_cast<double>(config_.wta_bits) /
-                        (config_.clock * units::Hz);
-  return search / units::query;
-}
-
-PowerReport HierarchicalAmm::flat_equivalent_power() const {
-  return spin_amm_power(hierarchical_module_design(config_, total_templates_));
+  LeafCacheEngine::store_templates(templates);
+  preload();
 }
 
 }  // namespace spinsim

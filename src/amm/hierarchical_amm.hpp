@@ -12,135 +12,46 @@
 /// ~N/k-column leaf. Power follows the active path, which is how the
 /// scheme scales the energy story to thousands of patterns.
 ///
-/// Implements AssociativeEngine: the unified result's dom is the winning
-/// leaf's degree of match, and the routing decision travels in the
-/// HierarchicalRecognitionDetail.
+/// HierarchicalAmm is a LeafCacheEngine with one slot per cluster and
+/// every leaf programmed at store time: routing, batching and the
+/// routed result (see LeafCacheEngine::recognize) are the leaf cache's.
+/// A preloaded pool never reprograms, so power() and energy_per_query()
+/// price the active-path search alone.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "amm/engine.hpp"
-#include "amm/spin_amm.hpp"
-#include "core/kmeans.hpp"
+#include "amm/leaf_cache_engine.hpp"
 
 namespace spinsim {
 
-/// Knobs of the hierarchical AMM.
-struct HierarchicalAmmConfig {
-  FeatureSpec features;
-  std::size_t clusters = 8;       ///< router fan-out (k)
-  unsigned wta_bits = 5;
-  DwnParams dwn;
-  MemristorSpec memristor;
-  double delta_v = 30e-3;
-  double clock = 100e6;
-  bool sample_mismatch = true;
-  /// Leaf DOM below this rejects the match (same semantics as
-  /// SpinAmmConfig::accept_threshold; singleton clusters are judged on
-  /// the router DOM, the only degree of match their path produces).
-  std::uint32_t accept_threshold = 0;
-  std::size_t kmeans_iterations = 50;
-  std::uint64_t seed = 2013;
-};
-
-/// Quantises a raw k-means centroid onto the feature grid so it can be
-/// programmed like any template.
-FeatureVector centroid_to_template(const std::vector<double>& centroid, const FeatureSpec& spec);
-
-/// SpinAmm configuration of one module (router or leaf) of a two-level
-/// hierarchy. Every engine that routes through the same clustering must
-/// derive its modules through this one function — same columns, same
-/// salt, same realised device noise — which is what makes the on-demand
-/// LeafCacheEngine bit-identical to a fully resident HierarchicalAmm.
-SpinAmmConfig hierarchical_module_config(const HierarchicalAmmConfig& config, std::size_t columns,
-                                         std::uint64_t salt);
-
-/// Power-model design point of one module of the hierarchy (router when
-/// `columns` == clusters, leaf otherwise) — the single mapping both
-/// HierarchicalAmm and LeafCacheEngine price their active paths through.
-SpinAmmDesign hierarchical_module_design(const HierarchicalAmmConfig& config, std::size_t columns);
-
-/// Runs the hierarchy's clustering step: k-means over the templates'
-/// analog vectors with the config's seed/iteration schedule. Returns the
-/// per-cluster global template indices and fills `router_templates` with
-/// one quantised centroid per cluster, ready for the router module. Both
-/// HierarchicalAmm and LeafCacheEngine build from this one schedule,
-/// which is what keeps their routing — and therefore their answers — in
-/// lockstep.
-std::vector<std::vector<std::size_t>> cluster_templates(
-    const HierarchicalAmmConfig& config, const std::vector<FeatureVector>& templates,
-    std::vector<FeatureVector>& router_templates);
-
-/// Folds a leaf answer and its routing decision into the global result
-/// shared by HierarchicalAmm and LeafCacheEngine: winner becomes the
-/// global template index, the leaf-local margin is capped by the router's
-/// relative score gap (the global runner-up may live in another cluster),
-/// a zero-DOM answer carries zero margin, and `accepted` requires a
-/// unique winner at or above `accept_threshold`.
-Recognition finish_routed(const Recognition& leaf, const Recognition& routed, std::size_t cluster,
-                          std::size_t global_winner, std::uint32_t accept_threshold);
-
-/// Two-level AMM built from router + leaf SpinAmm modules.
-class HierarchicalAmm : public AssociativeEngine {
+/// Two-level AMM with every leaf resident.
+class HierarchicalAmm : public LeafCacheEngine {
  public:
   explicit HierarchicalAmm(const HierarchicalAmmConfig& config);
 
-  const HierarchicalAmmConfig& config() const { return config_; }
-
   std::string name() const override { return "hierarchical"; }
-  std::size_t template_count() const override { return total_templates_; }
 
-  /// Clusters the templates and programs the router + leaves. Must be
-  /// called before recognize().
+  /// Clusters the templates and programs the router and every leaf. The
+  /// leaf writes are set-up, not traffic: no counter or energy charges
+  /// them. Must be called before recognize().
   void store_templates(const std::vector<FeatureVector>& templates) override;
 
-  /// Routed recognition: winner is the *global* template index; dom is
-  /// the winning leaf's degree of match; the detail holds the routing
-  /// decision (cluster, router dom, router runner-up dom). The margin is
-  /// the leaf-local margin capped by the router's relative score gap, so
-  /// it never overstates confidence against templates the visited leaf
-  /// could not see (the rule escalation policies key on).
-  Recognition recognize(const FeatureVector& input) override;
+  /// Number of leaves (== clusters).
+  std::size_t leaf_count() const { return cluster_count(); }
 
-  /// Batched routed recognition: results[i] corresponds to inputs[i] and
-  /// matches per-query recognize() winner-for-winner. All inputs are
-  /// routed through the router's batch API first, then grouped by cluster
-  /// so each leaf answers its queries in one batch — which lets every
-  /// module amortize its crossbar setup once per batch instead of once
-  /// per query.
-  std::vector<Recognition> recognize_batch(const std::vector<FeatureVector>& inputs,
-                                           std::size_t threads = 0) override;
-
-  /// Number of leaf modules actually built (== clusters).
-  std::size_t leaf_count() const { return leaves_.size(); }
-
-  /// Global template indices stored in leaf `cluster`.
-  const std::vector<std::size_t>& leaf_members(std::size_t cluster) const;
-
-  /// Power of the active path (== power() of the unified interface).
-  PowerReport active_path_power() const;
+  /// Power of the active path (router + worst-case leaf).
   PowerReport power() const override { return active_path_power(); }
 
   /// Energy of one routed recognition: router search + worst-case leaf
-  /// search, each an M-cycle WTA conversion [J].
-  EnergyPerQuery energy_per_query() const override;
+  /// search, each an M-cycle WTA conversion.
+  EnergyPerQuery energy_per_query() const override { return search_energy_per_query(); }
 
   /// Power a *flat* AMM holding all templates would burn, for comparison.
-  PowerReport flat_equivalent_power() const;
-
- private:
-  Recognition finish(const Recognition& leaf, const Recognition& routed, std::size_t cluster,
-                     std::size_t global_winner) const;
-
-  HierarchicalAmmConfig config_;
-  std::unique_ptr<SpinAmm> router_;
-  std::vector<std::unique_ptr<SpinAmm>> leaves_;
-  std::vector<std::vector<std::size_t>> members_;  // cluster -> global indices
-  std::size_t total_templates_ = 0;
+  PowerReport flat_equivalent_power() const { return module_power(template_count()); }
 };
 
 }  // namespace spinsim

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "core/error.hpp"
+#include "core/kmeans.hpp"
 #include "energy/spin_power.hpp"
 
 namespace spinsim {
@@ -16,6 +17,133 @@ std::uint64_t mix64(std::uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
   return z ^ (z >> 31);
+}
+
+/// Quantises a raw k-means centroid onto the feature grid so it can be
+/// programmed like any template.
+FeatureVector centroid_to_template(const std::vector<double>& centroid, const FeatureSpec& spec) {
+  FeatureVector t;
+  t.spec = spec;
+  const double top = static_cast<double>((1u << spec.bits) - 1);
+  t.analog.resize(centroid.size());
+  t.digital.resize(centroid.size());
+  for (std::size_t i = 0; i < centroid.size(); ++i) {
+    const double clamped = std::clamp(centroid[i], 0.0, 1.0);
+    const auto level = static_cast<std::uint32_t>(std::lround(clamped * top));
+    t.digital[i] = level;
+    t.analog[i] = static_cast<double>(level) / top;
+  }
+  return t;
+}
+
+/// SpinAmm configuration of one module (router: salt 0; leaf of cluster
+/// c: salt c + 1). A reprogrammed leaf derives from the same salt, so it
+/// realises the same device noise as the leaf it replaces.
+SpinAmmConfig hierarchical_module_config(const HierarchicalAmmConfig& config, std::size_t columns,
+                                         std::uint64_t salt) {
+  SpinAmmConfig c;
+  c.features = config.features;
+  c.templates = columns;
+  c.memristor = config.memristor;
+  c.wta_bits = config.wta_bits;
+  c.dwn = config.dwn;
+  c.delta_v = config.delta_v;
+  c.clock = config.clock;
+  c.sample_mismatch = config.sample_mismatch;
+  // The hierarchy applies the threshold to whichever DOM ends the active
+  // path (leaf, or router for singleton clusters), so the modules
+  // themselves judge every local match accepted; see finish_routed().
+  c.accept_threshold = 0;
+  c.seed = config.seed ^ (salt * 0x9E3779B97F4A7C15ULL + 0x1234);
+  return c;
+}
+
+/// Power-model design point of one module of the hierarchy.
+SpinAmmDesign hierarchical_module_design(const HierarchicalAmmConfig& config,
+                                         std::size_t columns) {
+  SpinAmmDesign d;
+  d.dimension = config.features.dimension();
+  d.templates = std::max<std::size_t>(columns, 2);
+  d.resolution_bits = config.wta_bits;
+  d.dwn_threshold = config.dwn.i_threshold;
+  d.delta_v = config.delta_v;
+  d.clock = config.clock;
+  return d;
+}
+
+/// The clustering step: k-means over the templates' analog vectors with
+/// the config's seed/iteration schedule. Returns the per-cluster global
+/// template indices and fills `router_templates` with one quantised
+/// centroid per cluster, ready for the router module.
+std::vector<std::vector<std::size_t>> cluster_templates(
+    const HierarchicalAmmConfig& config, const std::vector<FeatureVector>& templates,
+    std::vector<FeatureVector>& router_templates) {
+  require(templates.size() >= config.clusters,
+          "cluster_templates: fewer templates than clusters");
+  std::vector<std::vector<double>> points;
+  points.reserve(templates.size());
+  for (const auto& t : templates) {
+    require(t.dimension() == config.features.dimension(),
+            "cluster_templates: template dimension mismatch");
+    points.push_back(t.analog);
+  }
+  Rng rng(config.seed);
+  const KMeansResult clustering =
+      kmeans(points, config.clusters, rng, config.kmeans_iterations);
+
+  std::vector<std::vector<std::size_t>> members(config.clusters);
+  for (std::size_t i = 0; i < templates.size(); ++i) {
+    members[clustering.assignment[i]].push_back(i);
+  }
+
+  router_templates.clear();
+  router_templates.reserve(config.clusters);
+  for (const auto& centroid : clustering.centroids) {
+    router_templates.push_back(centroid_to_template(centroid, config.features));
+  }
+  return members;
+}
+
+/// Folds a leaf answer and its routing decision into the global result:
+/// winner becomes the global template index, the leaf-local margin is
+/// capped by the router's relative score gap (the global runner-up may
+/// live in another cluster), a zero-DOM answer carries zero margin, and
+/// `accepted` requires a unique winner at or above `accept_threshold`.
+Recognition finish_routed(const Recognition& leaf, const Recognition& routed, std::size_t cluster,
+                          std::size_t global_winner, std::uint32_t accept_threshold) {
+  // The leaf margin only measures the winning cluster's local runner-up;
+  // the *global* runner-up may live in another cluster the leaf search
+  // never visited. Cap with the router's relative score gap (the same
+  // rule RecognitionService::merge applies across shards) so downstream
+  // escalation keyed on margin never sees overstated confidence. The
+  // singleton-cluster path gets the identical treatment: its router-level
+  // margin is a gap between *centroids*, not stored templates, so it too
+  // must not outrank what the router gap supports.
+  std::uint32_t router_second = 0;
+  if (const SpinRecognitionDetail* rd = routed.spin()) {
+    for (std::size_t c = 0; c < rd->wta.dom_codes.size(); ++c) {
+      if (c != routed.winner) {
+        router_second = std::max(router_second, rd->wta.dom_codes[c]);
+      }
+    }
+  }
+  Recognition out;
+  out.winner = global_winner;
+  out.unique = leaf.unique;
+  out.dom = leaf.dom;
+  out.score = static_cast<double>(out.dom);
+  if (routed.dom == 0 || out.dom == 0) {
+    // Nothing matched at the router, or the active path ended on a zero
+    // degree of match: a non-positive winner carries no confidence.
+    out.margin = 0.0;
+  } else {
+    const double router_gap = static_cast<double>(routed.dom - router_second) /
+                              static_cast<double>(routed.dom);
+    out.margin = std::min(leaf.margin, router_gap);
+  }
+  out.accepted = out.unique && out.dom >= accept_threshold;
+  out.detail = HierarchicalRecognitionDetail{cluster, routed.dom, router_second};
+  return out;
 }
 
 }  // namespace
@@ -33,9 +161,7 @@ void LeafCacheEngine::store_templates(const std::vector<FeatureVector>& template
   const HierarchicalAmmConfig& h = config_.hierarchy;
   total_templates_ = templates.size();
 
-  // 1. Cluster the template vectors and build the router — the identical
-  //    shared schedule a HierarchicalAmm with this config runs, which is
-  //    what keeps the two engines' routing in lockstep.
+  // 1. Cluster the template vectors and build the router.
   std::vector<FeatureVector> router_templates;
   members_ = cluster_templates(h, templates, router_templates);
   router_ = std::make_unique<SpinAmm>(hierarchical_module_config(h, h.clusters, 0));
@@ -81,28 +207,31 @@ void LeafCacheEngine::store_templates(const std::vector<FeatureVector>& template
     }
   }
   slot_writes_ = std::make_unique<std::atomic<std::uint64_t>[]>(config_.leaf_slots);
+  // A re-store serves a new template set: the traffic counters must not
+  // blend the old workload into the new hit rate / amortized energy.
+  reset_counters();
+}
+
+void LeafCacheEngine::reset_counters() {
   for (std::size_t s = 0; s < config_.leaf_slots; ++s) {
     slot_writes_[s].store(0, std::memory_order_relaxed);
   }
+  for (std::atomic<std::uint64_t>* counter :
+       {&queries_, &hits_, &misses_, &evictions_, &devices_written_, &columns_written_,
+        &writes_saved_, &repair_writes_, &verify_scans_, &devices_checked_, &faults_detected_,
+        &devices_rewritten_, &columns_remapped_, &repair_reloads_, &unrepairable_,
+        &worn_out_devices_}) {
+    counter->store(0, std::memory_order_relaxed);
+  }
+}
 
-  // A re-store serves a new template set: the traffic counters must not
-  // blend the old workload into the new hit rate / amortized energy.
-  queries_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-  devices_written_.store(0, std::memory_order_relaxed);
-  columns_written_.store(0, std::memory_order_relaxed);
-  writes_saved_.store(0, std::memory_order_relaxed);
-  repair_writes_.store(0, std::memory_order_relaxed);
-  verify_scans_.store(0, std::memory_order_relaxed);
-  devices_checked_.store(0, std::memory_order_relaxed);
-  faults_detected_.store(0, std::memory_order_relaxed);
-  devices_rewritten_.store(0, std::memory_order_relaxed);
-  columns_remapped_.store(0, std::memory_order_relaxed);
-  repair_reloads_.store(0, std::memory_order_relaxed);
-  unrepairable_.store(0, std::memory_order_relaxed);
-  worn_out_devices_.store(0, std::memory_order_relaxed);
+void LeafCacheEngine::preload() {
+  for (std::size_t c = 0; c < members_.size(); ++c) {
+    (void)ensure_resident(c);
+  }
+  SPINSIM_ASSERT(evictions_.load(std::memory_order_relaxed) == 0,
+                 "LeafCacheEngine::preload: the pool must hold every leaf");
+  reset_counters();
 }
 
 SpinAmm* LeafCacheEngine::ensure_resident(std::size_t cluster) {
@@ -172,10 +301,9 @@ std::size_t LeafCacheEngine::pick_victim() {
 void LeafCacheEngine::load_slot(std::size_t slot_index, std::size_t cluster,
                                 bool repair_reload) {
   // Program the cluster's templates into the slot. The module derives
-  // through hierarchical_module_config with the same salt a resident
-  // HierarchicalAmm leaf would use, so absent endurance mode the
-  // realised device noise — and therefore every answer — is
-  // bit-identical across reprogram cycles.
+  // through hierarchical_module_config with the cluster's own salt, so
+  // absent endurance mode the realised device noise — and therefore every
+  // answer — is bit-identical across reprogram cycles.
   Slot& slot = slots_[slot_index];
   slot.cluster = cluster;
   slot.last_used = lru_clock_;
@@ -544,18 +672,25 @@ LeafCacheCounters LeafCacheEngine::counters() const {
   return out;
 }
 
+PowerReport LeafCacheEngine::module_power(std::size_t columns) const {
+  return spin_amm_power(hierarchical_module_design(config_.hierarchy, columns));
+}
+
+PowerReport LeafCacheEngine::active_path_power() const {
+  require(router_ != nullptr, "LeafCacheEngine: store_templates() first");
+  PowerReport combined;
+  combined.add_all_prefixed("router: ", module_power(config_.hierarchy.clusters));
+  combined.add_all_prefixed("leaf: ", module_power(largest_leaf_));
+  return combined;
+}
+
 EnergyPerQuery LeafCacheEngine::search_energy_per_query() const {
-  // Router search followed by one leaf search, each an M-cycle SAR/WTA
-  // conversion — the same active path a fully resident hierarchy prices.
   const HierarchicalAmmConfig& h = config_.hierarchy;
-  const Power search_power =
-      spin_amm_power(hierarchical_module_design(h, h.clusters)).total() +
-      spin_amm_power(hierarchical_module_design(h, largest_leaf_)).total();
-  return search_power * static_cast<double>(h.wta_bits) / (h.clock * units::Hz) / units::query;
+  return active_path_power().total() * static_cast<double>(h.wta_bits) / (h.clock * units::Hz) /
+         units::query;
 }
 
 EnergyPerQuery LeafCacheEngine::energy_per_query() const {
-  require(router_ != nullptr, "LeafCacheEngine: store_templates() first");
   const EnergyPerQuery search = search_energy_per_query();
   const std::uint64_t devices = devices_written_.load(std::memory_order_relaxed);
   const std::uint64_t queries = queries_.load(std::memory_order_relaxed);
@@ -573,16 +708,12 @@ EnergyPerQuery LeafCacheEngine::energy_per_query() const {
 }
 
 PowerReport LeafCacheEngine::power() const {
-  require(router_ != nullptr, "LeafCacheEngine: store_templates() first");
   const HierarchicalAmmConfig& h = config_.hierarchy;
-  PowerReport combined;
-  combined.add_all_prefixed("router: ",
-                            spin_amm_power(hierarchical_module_design(h, h.clusters)));
-  combined.add_all_prefixed("leaf: ",
-                            spin_amm_power(hierarchical_module_design(h, largest_leaf_)));
+  PowerReport combined = active_path_power();
   // Amortized write power at the observed miss mix: reprogram energy per
   // query times the design's query rate (one M-cycle search per query).
-  const EnergyPerQuery write_energy_per_query = energy_per_query() - search_energy_per_query();
+  const EnergyPerQuery write_energy_per_query =
+      LeafCacheEngine::energy_per_query() - search_energy_per_query();
   const auto query_rate = (h.clock * units::Hz) / static_cast<double>(h.wta_bits) * units::query;
   combined.add("write: reprogram (amortized)", PowerKind::kDynamic,
                write_energy_per_query * query_rate);

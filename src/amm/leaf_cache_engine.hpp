@@ -1,31 +1,34 @@
 /// \file leaf_cache_engine.hpp
-/// Larger-than-memory template sets: a hierarchical engine whose leaves
-/// are programmed into a bounded pool of crossbar slots on demand.
+/// The two-level hierarchy of the paper's Section 5, served from a
+/// bounded pool of crossbar slots.
 ///
-/// The paper keeps every template resident in programmed arrays; the HTM
-/// follow-on (Fan et al., arXiv:1402.2902) routes queries through a
-/// hierarchy where only a small active subset of pattern memory is
-/// touched per query — exactly the access pattern a leaf cache exploits.
-/// LeafCacheEngine clusters the template set with the same k-means router
-/// as HierarchicalAmm, but instead of building one leaf module per
-/// cluster it owns `leaf_slots` programmable crossbar slots. The router
-/// picks the candidate cluster; if that cluster's templates are resident
-/// in a slot the query is a *hit* and costs one leaf search, otherwise
-/// the engine evicts the least-recently-used unpinned slot, programs the
-/// cluster's templates into it (a *miss*), and charges the write path —
-/// priced by CrossbarWriteCost — into its counters, power() and
-/// energy_per_query().
+/// "Very large number of images can be grouped into smaller clusters
+/// [25], that can be hierarchically stored in the multiple RCM modules."
+/// Templates are k-means-clustered in feature space; a *router* module
+/// stores the cluster centroids and each cluster's member templates form
+/// one *leaf*. A lookup activates the k-column router plus one ~N/k-column
+/// leaf instead of one N-column WTA, and power follows that active path.
 ///
-/// Answers are bit-identical to a fully resident HierarchicalAmm built
-/// from the same HierarchicalAmmConfig, whatever the pool size: modules
-/// derive through hierarchical_module_config(), so a reprogrammed leaf
-/// realises the same device noise as the leaf it replaces. Pool size
-/// only moves the hit rate, i.e. the energy/latency story.
+/// The HTM follow-on (Fan et al., arXiv:1402.2902) touches only a small
+/// active subset of pattern memory per query — the access pattern a leaf
+/// cache exploits. LeafCacheEngine owns `leaf_slots` programmable
+/// crossbar slots. The router picks the candidate cluster; if that
+/// cluster's templates are resident in a slot the query is a *hit* and
+/// costs one leaf search, otherwise the engine evicts the
+/// least-recently-used unpinned slot, programs the cluster's templates
+/// into it (a *miss*), and charges the write path — priced by
+/// CrossbarWriteCost — into its counters, power() and energy_per_query().
 ///
-/// recognize_batch() reorders queries by target cluster (the same
-/// grouping HierarchicalAmm uses for batching) so one reprogram serves
-/// every query of the batch headed to that cluster — miss-cost sharing.
-/// Resident clusters are served before misses (each partition in
+/// Every module derives its configuration from the cluster index alone,
+/// so a reprogrammed leaf realises the same device noise as the leaf it
+/// replaces and the answers do not depend on the pool size: it only moves
+/// the hit rate, i.e. the energy/latency story. HierarchicalAmm
+/// (hierarchical_amm.hpp) is this engine with one slot per cluster, every
+/// leaf programmed at store time.
+///
+/// recognize_batch() groups queries by target cluster so one reprogram
+/// serves every query of the batch headed to that cluster — miss-cost
+/// sharing. Resident clusters are served before misses (each partition in
 /// ascending index order), so a miss only ever evicts a leaf whose group
 /// was already served; the order derives purely from the cache state at
 /// batch start, keeping the eviction schedule deterministic under any
@@ -41,12 +44,30 @@
 #include <vector>
 
 #include "amm/engine.hpp"
-#include "amm/hierarchical_amm.hpp"
 #include "amm/spin_amm.hpp"
 #include "crossbar/wear.hpp"
 #include "energy/write_cost.hpp"
 
 namespace spinsim {
+
+/// Knobs of the two-level hierarchy: clustering plus the router and leaf
+/// modules' design point.
+struct HierarchicalAmmConfig {
+  FeatureSpec features;
+  std::size_t clusters = 8;       ///< router fan-out (k)
+  unsigned wta_bits = 5;
+  DwnParams dwn;
+  MemristorSpec memristor;
+  double delta_v = 30e-3;
+  double clock = 100e6;
+  bool sample_mismatch = true;
+  /// Leaf DOM below this rejects the match (same semantics as
+  /// SpinAmmConfig::accept_threshold; singleton clusters are judged on
+  /// the router DOM, the only degree of match their path produces).
+  std::uint32_t accept_threshold = 0;
+  std::size_t kmeans_iterations = 50;
+  std::uint64_t seed = 2013;
+};
 
 /// Eviction policy of the slot pool.
 enum class LeafSlotPolicy {
@@ -56,13 +77,13 @@ enum class LeafSlotPolicy {
 
 /// Endurance / self-repair knobs. Everything defaults off, and the
 /// engine then behaves exactly like the plain leaf cache (answers
-/// bit-identical to a resident HierarchicalAmm). Enabling any feature —
-/// or enabling wear on the hierarchy's MemristorSpec — switches the pool
-/// to substrate-backed slots: each slot's physical devices keep wear,
+/// independent of the pool size). Enabling any feature — or enabling
+/// wear on the hierarchy's MemristorSpec — switches the pool to
+/// substrate-backed slots: each slot's physical devices keep wear,
 /// realised state, and fault history across reprograms, and write noise
 /// comes from per-device keyed streams (see wear.hpp). Batch and
 /// sequential serving still agree answer-for-answer, but answers are no
-/// longer bit-identical to the resident hierarchy: the device noise is
+/// longer bit-identical to the plain pool's: the device noise is
 /// statistically identical, drawn differently.
 struct LeafCacheEnduranceConfig {
   /// Delta reprogramming: on a miss into a previously used slot, write
@@ -99,12 +120,10 @@ struct LeafCacheEnduranceConfig {
 
 /// Knobs of the leaf-cache engine.
 struct LeafCacheEngineConfig {
-  /// Clustering + module configuration, shared verbatim with
-  /// HierarchicalAmm (which is what makes the answers bit-identical).
+  /// Clustering + module configuration.
   HierarchicalAmmConfig hierarchy;
   /// Programmed crossbar slots available for leaves. With
-  /// leaf_slots >= hierarchy.clusters nothing is ever evicted and the
-  /// engine behaves exactly like a fully resident HierarchicalAmm.
+  /// leaf_slots >= hierarchy.clusters nothing is ever evicted.
   std::size_t leaf_slots = 4;
   /// Write-path pricing charged on every miss.
   CrossbarWriteCost write_cost;
@@ -177,14 +196,20 @@ class LeafCacheEngine : public AssociativeEngine {
   std::string name() const override { return "leaf-cache"; }
   std::size_t template_count() const override { return total_templates_; }
 
-  /// Clusters the templates (same seed and schedule as HierarchicalAmm),
-  /// programs the router, and records the per-cluster template slices —
-  /// but programs no leaf: leaves are materialised on first touch.
+  /// Clusters the templates (k-means over the analog vectors on the
+  /// config's seed), programs the router, and records the per-cluster
+  /// template slices — but programs no leaf: leaves are materialised on
+  /// first touch.
   void store_templates(const std::vector<FeatureVector>& templates) override;
 
   /// Routed recognition through the slot pool: router -> ensure the
   /// winning cluster's leaf is resident (programming on a miss) -> leaf
-  /// search. Result semantics match HierarchicalAmm::recognize exactly.
+  /// search. Winner is the *global* template index; dom is the winning
+  /// leaf's degree of match; the detail holds the routing decision
+  /// (cluster, router dom, router runner-up dom). The margin is the
+  /// leaf-local margin capped by the router's relative score gap, so it
+  /// never overstates confidence against templates the visited leaf
+  /// could not see (the rule escalation policies key on).
   Recognition recognize(const FeatureVector& input) override;
 
   /// Batched routed recognition with miss-cost sharing: all inputs are
@@ -238,8 +263,12 @@ class LeafCacheEngine : public AssociativeEngine {
   /// Physical substrate of slot `slot` (inspection; endurance mode only).
   const CrossbarSubstrate& slot_substrate(std::size_t slot) const;
 
-  /// Search power of the active path (router + worst-case leaf) plus an
-  /// amortized "write: reprogram" item at the observed miss rate.
+  /// Search power of the active path: the router's items prefixed
+  /// "router: ", then the worst-case leaf's prefixed "leaf: ".
+  PowerReport active_path_power() const;
+
+  /// active_path_power() plus an amortized "write: reprogram" item at the
+  /// observed miss rate.
   PowerReport power() const override;
 
   /// Energy of one query: router + worst-case leaf search, plus the
@@ -247,6 +276,19 @@ class LeafCacheEngine : public AssociativeEngine {
   /// any traffic it conservatively assumes every query misses the
   /// largest leaf. Safe to call concurrently with recognition.
   EnergyPerQuery energy_per_query() const override;
+
+ protected:
+  /// Programs every slot-eligible cluster in ascending order, then zeroes
+  /// every counter: set-up, so the writes are not charged. The pool must
+  /// hold every slot-eligible cluster. Call after store_templates().
+  void preload();
+
+  /// Router search followed by one worst-case leaf search, each an
+  /// M-cycle SAR/WTA conversion of the active path's modules.
+  EnergyPerQuery search_energy_per_query() const;
+
+  /// Power model of one module of the hierarchy with `columns` columns.
+  PowerReport module_power(std::size_t columns) const;
 
  private:
   struct Slot {
@@ -275,7 +317,7 @@ class LeafCacheEngine : public AssociativeEngine {
   void maybe_verify(std::uint64_t served);
   bool verify_ok(double weight, double realised) const;
   void refresh_worn_count();
-  EnergyPerQuery search_energy_per_query() const;
+  void reset_counters();
 
   LeafCacheEngineConfig config_;
   std::unique_ptr<SpinAmm> router_;

@@ -9,7 +9,7 @@
 /// rejected tail pays for the full flat search. The escalation decision
 /// keys on the unified `Recognition` confidence fields — `margin`
 /// (capped so it never overstates global confidence, see
-/// HierarchicalAmm::finish and RecognitionService::merge), `accepted`
+/// LeafCacheEngine::recognize and RecognitionService::merge), `accepted`
 /// and `unique` — which is why the margin-semantics fixes and this layer
 /// ship together.
 ///

@@ -21,20 +21,8 @@
 ///      that defaults on in debug builds — so Release tier-1 binaries can
 ///      still opt in from tests via set_lock_rank_checks(true).
 ///
-/// The lock-rank table (lower rank = acquired first / outermost). Keep
-/// this in sync with README.md "Thread safety":
-///
-///   rank  name            protects
-///   ----  --------------  ------------------------------------------------
-///    10   kServiceQueue   RecognitionService admission queue + lifecycle
-///    20   kShard          one shard's job queue + worker state (never two at once)
-///    25   kServiceDone    RecognitionService streamed completion queue
-///    30   kServiceStats   service counters, breaker Health, histograms
-///    40   kClientJoin     client-side join/wait state in tests & harnesses
-///    50   kFaultSwitch    fault-injection stick/throw toggles
-///    60   kInputStage     input-stage memo cache map + stats
-///    70   kSubstrate      reserved: future shared crossbar substrate state
-///    90   kParallelError  first-exception capture inside parallel_for
+/// The lock-rank table is the LockRank enum below (lower rank = acquired
+/// first / outermost); it is the one place the ranks are written down.
 ///
 /// Suppression policy: code that clang's analysis cannot follow (notably
 /// condition-variable predicate lambdas, which TSA analyzes as separate
@@ -94,24 +82,23 @@ namespace spinsim {
 
 // ------------------------------------------------------------- lock ranks
 
-/// Documented acquisition order; see the table in the header comment.
-/// Values are spaced so a future layer can slot between two existing
-/// ranks without renumbering the world.
+/// Documented acquisition order, and what each rank protects. Values are
+/// spaced so a future layer can slot between two existing ranks without
+/// renumbering the world.
 enum class LockRank : int {
-  kServiceQueue = 10,
-  kShard = 20,
-  /// Sits between kShard and kServiceStats on purpose: a shard worker
-  /// pushes its completion while still holding its shard mutex (20 -> 25,
-  /// ascending), which makes the abandoned-generation check and the push
-  /// one atomic step — the watchdog can never abandon a generation whose
-  /// results are concurrently landing in the completion queue.
+  kServiceQueue = 10,   ///< RecognitionService admission queue + lifecycle
+  kShard = 20,          ///< one shard's job queue + worker state (never two at once)
+  /// RecognitionService streamed completion queue. Sits between kShard
+  /// and kServiceStats on purpose: a shard worker pushes its completion
+  /// while still holding its shard mutex (20 -> 25, ascending), which
+  /// makes the abandoned-generation check and the push one atomic step —
+  /// the watchdog can never abandon a generation whose results are
+  /// concurrently landing in the completion queue.
   kServiceDone = 25,
-  kServiceStats = 30,
-  kClientJoin = 40,
-  kFaultSwitch = 50,
-  kInputStage = 60,
-  kSubstrate = 70,
-  kParallelError = 90,
+  kServiceStats = 30,   ///< service counters, breaker Health, histograms
+  kClientJoin = 40,     ///< client-side join/wait state in tests & harnesses
+  kFaultSwitch = 50,    ///< fault-injection stick/throw toggles
+  kParallelError = 90,  ///< first-exception capture inside parallel_for
 };
 
 /// Toggles the runtime rank-order assertion. Defaults on when NDEBUG is

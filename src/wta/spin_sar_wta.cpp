@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "core/error.hpp"
-#include "core/parallel.hpp"
 
 namespace spinsim {
 
@@ -204,26 +203,6 @@ SpinWtaOutcome SpinSarWta::run_query_span(const double* column_currents,
   }
   out.winner_dom = out.dom_codes[out.winner];
   return out;
-}
-
-std::vector<SpinWtaOutcome> SpinSarWta::run_batch(const std::vector<std::vector<double>>& batch,
-                                                  std::size_t threads) {
-  // Validate before fanning out: a require() thrown on a worker thread
-  // would terminate instead of propagating.
-  for (const auto& currents : batch) {
-    require(currents.size() == config_.columns,
-            "SpinSarWta::run_batch: need one current per column");
-  }
-  std::vector<SpinWtaOutcome> outcomes(batch.size());
-  if (batch.empty()) {
-    return outcomes;
-  }
-  const std::uint64_t base = query_counter_;
-  query_counter_ += batch.size();
-
-  parallel_for_strided(batch.size(), threads,
-                       [&](std::size_t i) { outcomes[i] = run_query(batch[i], base + i); });
-  return outcomes;
 }
 
 }  // namespace spinsim

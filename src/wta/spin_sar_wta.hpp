@@ -73,7 +73,8 @@ struct SpinWtaOutcome {
 /// `q` owns an independent substream keyed on (seed, q), so the outcome
 /// of slot q is a pure function of (configuration, currents, q) — not of
 /// how many other queries ran before it on which thread. That is what
-/// lets run_batch() fan the stateful WTA search out across threads while
+/// lets a batch reserve its slots (reserve_query_slots()) and fan the
+/// stateful WTA search out across threads (run_query_span()) while
 /// staying bit-identical to a sequential loop of run() calls.
 class SpinSarWta {
  public:
@@ -100,22 +101,15 @@ class SpinSarWta {
 
   /// Reserves `count` consecutive query slots of the noise stream and
   /// returns the first. A caller orchestrating its own fan-out (fused
-  /// GEMM + WTA chunks) consumes exactly the slots a sequential
-  /// run()/run_batch() sequence would, keeping outcomes bit-identical.
+  /// GEMM + WTA chunks) consumes exactly the slots a sequential run()
+  /// loop would, keeping outcomes bit-identical.
   std::uint64_t reserve_query_slots(std::uint64_t count) {
     const std::uint64_t base = query_counter_;
     query_counter_ += count;
     return base;
   }
 
-  /// Batched winner search over `batch.size()` query slots, dispatched
-  /// across `threads` workers (0 = hardware concurrency). outcome[i] is
-  /// bit-identical to what run() would have returned for batch[i] in a
-  /// sequential loop.
-  std::vector<SpinWtaOutcome> run_batch(const std::vector<std::vector<double>>& batch,
-                                        std::size_t threads = 0);
-
-  /// Query slots consumed so far (the counter behind run()/run_batch()).
+  /// Query slots consumed so far (by run() and reserve_query_slots()).
   std::uint64_t queries_issued() const { return query_counter_; }
 
   /// The per-column SAR DAC (exposed for calibration/ablation studies).

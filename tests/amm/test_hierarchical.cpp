@@ -241,5 +241,60 @@ TEST(HierarchicalAmm, AcceptThresholdMatchesSpinAmmSemantics) {
   }
 }
 
+TEST(HierarchicalAmm, PreloadedPoolChargesNoWrites) {
+  // Every leaf is programmed at store time as set-up: afterwards the pool
+  // never misses, evicts or writes, and the energy prices the active-path
+  // search alone, before and after traffic.
+  const HierarchicalAmmConfig c = small_config(6);
+  HierarchicalAmm amm(c);
+  amm.store_templates(build_templates(testing::small_dataset(), c.features));
+
+  bool saw_singleton = false;
+  for (std::size_t k = 0; k < amm.leaf_count(); ++k) {
+    const bool has_leaf = amm.leaf_members(k).size() >= 2;
+    saw_singleton = saw_singleton || !has_leaf;
+    EXPECT_EQ(amm.resident(k), has_leaf) << "cluster " << k;
+  }
+  EXPECT_TRUE(saw_singleton) << "no singleton cluster: hits would count every lookup";
+  const LeafCacheCounters stored = amm.counters();
+  EXPECT_EQ(stored.queries, 0u);
+  EXPECT_EQ(stored.hits, 0u);
+  EXPECT_EQ(stored.misses, 0u);
+  EXPECT_EQ(stored.evictions, 0u);
+  EXPECT_EQ(stored.device_writes, 0u);
+  EXPECT_EQ(stored.reprogram_energy.si(), 0.0);
+  EXPECT_EQ(stored.max_slot_write_cycles(), 0u);
+  const EnergyPerQuery before = amm.energy_per_query();
+
+  std::vector<FeatureVector> inputs;
+  for (const auto& sample : testing::small_dataset().all()) {
+    inputs.push_back(extract_features(sample.image, c.features));
+  }
+  std::uint64_t leaf_lookups = 0;
+  const auto count_lookup = [&](const Recognition& r) {
+    ASSERT_NE(r.hierarchical(), nullptr);
+    leaf_lookups += amm.leaf_members(r.hierarchical()->cluster).size() >= 2 ? 1 : 0;
+  };
+  for (const FeatureVector& f : inputs) {
+    count_lookup(amm.recognize(f));
+  }
+  for (const Recognition& r : amm.recognize_batch(inputs, /*threads=*/4)) {
+    count_lookup(r);
+  }
+
+  const LeafCacheCounters after = amm.counters();
+  EXPECT_EQ(after.queries, 2 * inputs.size());
+  EXPECT_GT(leaf_lookups, 0u);
+  EXPECT_EQ(after.hits, leaf_lookups);
+  EXPECT_EQ(after.misses, 0u);
+  EXPECT_EQ(after.evictions, 0u);
+  EXPECT_EQ(after.device_writes, 0u);
+  EXPECT_EQ(amm.energy_per_query().si(), before.si());
+  const PowerReport power = amm.power();
+  for (const PowerItem& item : power.items()) {
+    EXPECT_NE(item.name.rfind("write:", 0), 0u) << item.name;
+  }
+}
+
 }  // namespace
 }  // namespace spinsim

@@ -65,7 +65,7 @@ TEST(Sync, RanksReleasedOnException) {
 
 TEST(Sync, UniqueLockReleasesOnManualUnlockAndReacquires) {
   ScopedRankChecks checks;
-  Mutex mutex(LockRank::kInputStage);
+  Mutex mutex(LockRank::kClientJoin);
   UniqueLock lock(mutex);
   EXPECT_TRUE(lock.owns_lock());
   EXPECT_EQ(sync_detail::rank_depth(), 1);
@@ -118,7 +118,7 @@ TEST(Sync, EachThreadHasItsOwnRankStack) {
 
 TEST(Sync, SharedMutexRanksLikeExclusive) {
   ScopedRankChecks checks;
-  SharedMutex mutex(LockRank::kSubstrate);
+  SharedMutex mutex(LockRank::kParallelError);
   {
     SharedLockGuard reader(mutex);
     EXPECT_EQ(sync_detail::rank_depth(), 1);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/parallel.hpp"
 #include "core/random.hpp"
 #include "core/units.hpp"
 #include "wta/ideal_wta.hpp"
@@ -192,10 +193,12 @@ void expect_outcomes_equal(const SpinWtaOutcome& a, const SpinWtaOutcome& b, std
   EXPECT_EQ(a.tracking, b.tracking) << "query " << i;
 }
 
-TEST(SpinSarWta, RunBatchMatchesSequentialWithThermalNoise) {
-  // The whole point of the counter-based stream: a parallel batch must be
-  // bit-identical to a sequential loop of run() on a twin instance, even
-  // with thermal flips being sampled (lowered barrier so flips happen).
+TEST(SpinSarWta, QuerySpanMatchesSequentialWithThermalNoise) {
+  // The whole point of the counter-based stream: a batch run the way
+  // SpinAmm::recognize_batch runs it — reserve the batch's query slots,
+  // then run_query_span on parallel workers — must be bit-identical to a
+  // sequential loop of run() on a twin instance, even with thermal flips
+  // being sampled (lowered barrier so flips happen).
   SpinWtaConfig c = clean_config(8);
   c.thermal_noise = true;
   c.sample_mismatch = true;
@@ -214,8 +217,11 @@ TEST(SpinSarWta, RunBatchMatchesSequentialWithThermalNoise) {
   for (const auto& currents : batch) {
     expected.push_back(sequential.run(currents));
   }
-  const auto got = batched.run_batch(batch, 4);
-  ASSERT_EQ(got.size(), expected.size());
+  const std::uint64_t base = batched.reserve_query_slots(batch.size());
+  std::vector<SpinWtaOutcome> got(batch.size());
+  parallel_for_resolved(batch.size(), 4, [&](std::size_t i) {
+    got[i] = batched.run_query_span(batch[i].data(), base + i);
+  });
   for (std::size_t i = 0; i < got.size(); ++i) {
     expect_outcomes_equal(got[i], expected[i], i);
   }
@@ -256,14 +262,8 @@ TEST(SpinSarWta, RunAdvancesQueryCounter) {
   EXPECT_EQ(wta.queries_issued(), 0u);
   (void)wta.run({1e-6, 2e-6, 3e-6, 4e-6});
   EXPECT_EQ(wta.queries_issued(), 1u);
-  (void)wta.run_batch(random_batch(6, 4, 1), 2);
+  EXPECT_EQ(wta.reserve_query_slots(6), 1u);
   EXPECT_EQ(wta.queries_issued(), 7u);
-}
-
-TEST(SpinSarWta, RunBatchValidatesBeforeFanout) {
-  SpinSarWta wta(clean_config(4));
-  std::vector<std::vector<double>> bad{{1e-6, 2e-6}};
-  EXPECT_THROW(wta.run_batch(bad, 4), InvalidArgument);
 }
 
 TEST(SpinSarWta, RunQuerySpanMatchesRunQueryNoiseless) {
