@@ -184,6 +184,7 @@ void LeafCacheEngine::store_templates(const std::vector<FeatureVector>& template
 
   pinned_.assign(h.clusters, false);
   slot_of_.assign(h.clusters, -1);
+  leaf_full_scale_.assign(h.clusters, 0.0);
   slots_.clear();
   lru_clock_ = 0;
   queries_since_verify_ = 0;
@@ -303,12 +304,19 @@ void LeafCacheEngine::load_slot(std::size_t slot_index, std::size_t cluster,
   // Program the cluster's templates into the slot. The module derives
   // through hierarchical_module_config with the cluster's own salt, so
   // absent endurance mode the realised device noise — and therefore every
-  // answer — is bit-identical across reprogram cycles.
+  // answer — is bit-identical across reprogram cycles. That also makes a
+  // reload at the input scale the first load calibrated build the same
+  // input-DAC bank without calibrating again. Endurance mode always
+  // recalibrates: wear and delta writes change the devices between loads.
   Slot& slot = slots_[slot_index];
   slot.cluster = cluster;
   slot.last_used = lru_clock_;
-  slot.engine = std::make_unique<SpinAmm>(
-      hierarchical_module_config(config_.hierarchy, leaf_sets_[cluster].size(), cluster + 1));
+  SpinAmmConfig module =
+      hierarchical_module_config(config_.hierarchy, leaf_sets_[cluster].size(), cluster + 1);
+  if (!endurance_active_) {
+    module.input_full_scale_override = leaf_full_scale_[cluster];
+  }
+  slot.engine = std::make_unique<SpinAmm>(module);
   slot.charged_writes = 0;
   slot.charged_skips = 0;
   slot.charged_columns = 0;
@@ -319,6 +327,11 @@ void LeafCacheEngine::load_slot(std::size_t slot_index, std::size_t cluster,
                                   config_.endurance.delta_writes);
   }
   slot.engine->store_templates(leaf_sets_[cluster]);
+  // A calibration that found no positive self-match keeps the analytic
+  // bank, which no override rebuilds: such a leaf recalibrates each load.
+  if (!endurance_active_ && slot.engine->input_full_scale() != module.input_full_scale_current()) {
+    leaf_full_scale_[cluster] = slot.engine->input_full_scale();
+  }
   slot_of_[cluster] = static_cast<std::ptrdiff_t>(slot_index);
   charge_slot(slot_index, repair_reload);
   if (endurance_active_) {

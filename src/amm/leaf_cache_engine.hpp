@@ -22,9 +22,13 @@
 /// Every module derives its configuration from the cluster index alone,
 /// so a reprogrammed leaf realises the same device noise as the leaf it
 /// replaces and the answers do not depend on the pool size: it only moves
-/// the hit rate, i.e. the energy/latency story. HierarchicalAmm
-/// (hierarchical_amm.hpp) is this engine with one slot per cluster, every
-/// leaf programmed at store time.
+/// the hit rate, i.e. the energy/latency story. A miss builds only what
+/// the leaf keeps: a cluster's first load calibrates its input DACs, and
+/// absent endurance mode every later load passes that scale back as
+/// SpinAmmConfig::input_full_scale_override, which builds the same DAC
+/// bank bit for bit without the analytic bank calibration reads.
+/// HierarchicalAmm (hierarchical_amm.hpp) is this engine with one slot
+/// per cluster, every leaf programmed at store time.
 ///
 /// recognize_batch() groups queries by target cluster so one reprogram
 /// serves every query of the batch headed to that cluster — miss-cost
@@ -337,6 +341,9 @@ class LeafCacheEngine : public AssociativeEngine {
   // invariant spans two counters.
   std::vector<Slot> slots_;
   std::vector<std::ptrdiff_t> slot_of_;  // cluster -> slot index, -1 if absent
+  // cluster -> input full scale its first load calibrated, 0 until known
+  // (plain mode only; see load_slot).
+  std::vector<double> leaf_full_scale_;
   std::uint64_t lru_clock_ = 0;
 
   // Endurance mode (set in store_templates): substrate-backed slots.

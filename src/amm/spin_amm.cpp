@@ -36,21 +36,11 @@ SpinAmm::SpinAmm(const SpinAmmConfig& config) : config_(config), rng_(config.see
   rcm_ = std::make_unique<RcmArray>(rcm_config, rng_.fork());
   rcm_->set_parasitic_solver(config.parasitic_solver);
 
-  DtcsDacDesign dac_design;
-  dac_design.bits = config.features.bits;
-  dac_design.full_scale_current = config.input_full_scale_current();
-  dac_design.delta_v = config.delta_v;
-  input_full_scale_ = dac_design.full_scale_current;
-
-  Rng dac_rng = rng_.fork();
-  input_dacs_.reserve(rcm_config.rows);
-  for (std::size_t row = 0; row < rcm_config.rows; ++row) {
-    if (config.sample_mismatch) {
-      input_dacs_.emplace_back(dac_design, dac_rng);
-    } else {
-      input_dacs_.emplace_back(dac_design);
-    }
-  }
+  // The analytic-scale input-DAC bank's stream is forked here, so every
+  // later fork sits at the same position whichever path store_templates
+  // takes; the bank itself is built only if calibration reads it.
+  input_full_scale_ = config.input_full_scale_current();
+  analytic_dac_rng_ = rng_.fork();
 
   SpinWtaConfig wta_config;
   wta_config.columns = config.templates;
@@ -80,20 +70,20 @@ void SpinAmm::store_templates(const std::vector<FeatureVector>& templates) {
   if (config_.input_full_scale_override > 0.0) {
     // Shared sizing across shards of one logical template set: skip the
     // per-array calibration so every shard quantises on the same scale.
-    rebuild_input_dacs(config_.input_full_scale_override);
+    build_input_dacs(config_.input_full_scale_override, rng_.fork());
   } else {
     calibrate_input_gain(templates);
   }
 }
 
-void SpinAmm::rebuild_input_dacs(double full_scale) {
+void SpinAmm::build_input_dacs(double full_scale, Rng dac_rng) {
   DtcsDacDesign dac_design;
   dac_design.bits = config_.features.bits;
   dac_design.full_scale_current = full_scale;
   dac_design.delta_v = config_.delta_v;
   input_full_scale_ = full_scale;
-  Rng dac_rng = rng_.fork();
   input_dacs_.clear();
+  input_dacs_.reserve(config_.features.dimension());
   for (std::size_t row = 0; row < config_.features.dimension(); ++row) {
     if (config_.sample_mismatch) {
       input_dacs_.emplace_back(dac_design, dac_rng);
@@ -106,7 +96,11 @@ void SpinAmm::rebuild_input_dacs(double full_scale) {
 void SpinAmm::calibrate_input_gain(const std::vector<FeatureVector>& templates) {
   // Feed each stored pattern through the real front end and find the
   // strongest self-match; then rebuild the input DACs so that current
-  // sits at ~90 % of the WTA full scale (headroom against clipping).
+  // sits at 95 % of the WTA full scale (headroom against clipping). The
+  // first calibration reads the analytic-scale bank, built only now.
+  if (input_dacs_.empty()) {
+    build_input_dacs(config_.input_full_scale_current(), analytic_dac_rng_);
+  }
   double best = 0.0;
   for (std::size_t j = 0; j < templates.size(); ++j) {
     const std::vector<double> currents = column_currents(templates[j]);
@@ -116,7 +110,7 @@ void SpinAmm::calibrate_input_gain(const std::vector<FeatureVector>& templates) 
     return;  // degenerate (all-zero templates); keep the analytic sizing
   }
   const double scale = 0.95 * config_.full_scale_current() / best;
-  rebuild_input_dacs(config_.input_full_scale_current() * scale);
+  build_input_dacs(config_.input_full_scale_current() * scale, rng_.fork());
 }
 
 std::vector<double> SpinAmm::input_row_currents(const FeatureVector& input) const {

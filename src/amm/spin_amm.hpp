@@ -57,7 +57,11 @@ struct SpinAmmConfig {
   /// Explicit input-DAC full-scale current [A]; <= 0 self-calibrates
   /// against the stored templates (the default). Shards of one logical
   /// template set must share an explicit value (together with
-  /// row_target_conductance) so their DOM codes stay comparable.
+  /// row_target_conductance) so their DOM codes stay comparable. An
+  /// override skips calibration and builds one input-DAC bank instead
+  /// of two; at a calibrated engine's input_full_scale() it builds the
+  /// very bank calibration ended with (same seed, same stream position),
+  /// which is how LeafCacheEngine reloads a leaf without recalibrating.
   double input_full_scale_override = 0.0;
   /// Explicit per-row G_TS pad target [S]; <= 0 pads to this array's own
   /// largest row sum. See RcmConfig::row_target_conductance.
@@ -159,7 +163,7 @@ class SpinAmm : public AssociativeEngine {
 
  private:
   void calibrate_input_gain(const std::vector<FeatureVector>& templates);
-  void rebuild_input_dacs(double full_scale);
+  void build_input_dacs(double full_scale, Rng dac_rng);
   std::vector<double> input_row_currents(const FeatureVector& input) const;
   /// Allocation-free front end for the batch path: writes the realised
   /// per-row input currents into `out[0 .. dimension)`. Values are
@@ -170,7 +174,8 @@ class SpinAmm : public AssociativeEngine {
   SpinAmmConfig config_;
   Rng rng_;
   std::unique_ptr<RcmArray> rcm_;
-  std::vector<DtcsDac> input_dacs_;  // one per row
+  Rng analytic_dac_rng_;             // stream of the analytic-scale bank
+  std::vector<DtcsDac> input_dacs_;  // one per row; empty until first built
   double input_full_scale_ = 0.0;
   std::unique_ptr<SpinSarWta> wta_;
   bool templates_stored_ = false;

@@ -1,9 +1,9 @@
 #include "datapath/dtcs_dac.hpp"
 
-#include <array>
 #include <cmath>
 
 #include "core/error.hpp"
+#include "device/mosfet.hpp"
 
 namespace spinsim {
 
@@ -39,39 +39,34 @@ MosGeometry bit_geometry(const DtcsDacDesign& design, unsigned bit, const Tech45
 }  // namespace
 
 DtcsDac::DtcsDac(const DtcsDacDesign& design, const Tech45& tech) : design_(design) {
-  bit_devices_.reserve(design.bits);
+  BitConductances bit_conductance{};
   for (unsigned k = 0; k < design.bits; ++k) {
-    bit_devices_.emplace_back(bit_geometry(design, k, tech), tech);
+    bit_conductance[k] =
+        Mosfet(bit_geometry(design, k, tech), tech).triode_conductance(design.gate_drive);
   }
-  build_code_table();
+  build_code_table(bit_conductance);
 }
 
 DtcsDac::DtcsDac(const DtcsDacDesign& design, Rng& rng, const Tech45& tech) : design_(design) {
-  bit_devices_.reserve(design.bits);
+  BitConductances bit_conductance{};
   for (unsigned k = 0; k < design.bits; ++k) {
-    bit_devices_.emplace_back(bit_geometry(design, k, tech), rng, tech,
-                              design.sigma_vt_override);
+    bit_conductance[k] =
+        Mosfet(bit_geometry(design, k, tech), rng, tech, design.sigma_vt_override)
+            .triode_conductance(design.gate_drive);
   }
-  build_code_table();
+  build_code_table(bit_conductance);
 }
 
-void DtcsDac::build_code_table() {
-  // Realised per-bit conductances are frozen once the devices exist, so
-  // each device is evaluated once and every code's G_T is the sum of its
-  // set bits, accumulated in ascending-bit order.
-  std::array<double, DtcsDacDesign::kMaxBits> bit_conductance{};
-  for (unsigned k = 0; k < design_.bits; ++k) {
-    bit_conductance[k] = bit_devices_[k].triode_conductance(design_.gate_drive);
-  }
+void DtcsDac::build_code_table(const BitConductances& bit_conductance) {
+  // Every code's G_T is the sum of its set bits in ascending-bit order.
+  // Code (2^k | low), low < 2^k, is the sum for `low` plus bit k, so the
+  // table fills in one addition per code.
   code_conductance_.assign(design_.max_code() + 1u, 0.0);
-  for (std::uint32_t code = 1; code <= design_.max_code(); ++code) {
-    double g = 0.0;
-    for (unsigned k = 0; k < design_.bits; ++k) {
-      if ((code >> k) & 1u) {
-        g += bit_conductance[k];
-      }
+  for (unsigned k = 0; k < design_.bits; ++k) {
+    const std::uint32_t high = 1u << k;
+    for (std::uint32_t low = 0; low < high; ++low) {
+      code_conductance_[high | low] = code_conductance_[low] + bit_conductance[k];
     }
-    code_conductance_[code] = g;
   }
 }
 

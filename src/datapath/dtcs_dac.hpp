@@ -14,11 +14,12 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "core/random.hpp"
-#include "device/mosfet.hpp"
+#include "device/tech45.hpp"
 
 namespace spinsim {
 
@@ -43,7 +44,9 @@ struct DtcsDacDesign {
   double unit_conductance() const;
 };
 
-/// One DAC instance with per-bit sampled mismatch.
+/// One DAC instance with per-bit sampled mismatch. The per-bit devices
+/// are sampled at construction, evaluated once into the code table and
+/// not kept: the table is all a DAC reads afterwards.
 class DtcsDac {
  public:
   /// Mismatch-free DAC.
@@ -55,9 +58,9 @@ class DtcsDac {
   const DtcsDacDesign& design() const { return design_; }
 
   /// Realised source conductance G_T for a digital code [S]. Table
-  /// lookup: the per-bit devices are fixed at construction, so all
-  /// 2^bits code conductances are precomputed once — this sits on the
-  /// per-cycle WTA path and the per-row input path of every recognition.
+  /// lookup: all 2^bits code conductances are precomputed at
+  /// construction — this sits on the per-cycle WTA path and the per-row
+  /// input path of every recognition.
   double conductance(std::uint32_t code) const;
 
   /// Output current into a load of total conductance `g_load` [A]:
@@ -74,10 +77,10 @@ class DtcsDac {
   double integral_nonlinearity(double g_load) const;
 
  private:
-  void build_code_table();
+  using BitConductances = std::array<double, DtcsDacDesign::kMaxBits>;
+  void build_code_table(const BitConductances& bit_conductance);
 
   DtcsDacDesign design_;
-  std::vector<Mosfet> bit_devices_;  // index k drives 2^k units
   std::vector<double> code_conductance_;  // realised G_T per code
 };
 

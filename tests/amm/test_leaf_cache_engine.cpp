@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "amm/hierarchical_amm.hpp"
 #include "amm/leaf_cache_engine.hpp"
+#include "support/random_features.hpp"
 #include "support/shared_dataset.hpp"
 
 namespace spinsim {
@@ -45,8 +47,8 @@ void expect_same_recognition(const Recognition& got, const Recognition& expected
   EXPECT_EQ(got.winner, expected.winner) << what << " input " << index;
   EXPECT_EQ(got.unique, expected.unique) << what << " input " << index;
   EXPECT_EQ(got.dom, expected.dom) << what << " input " << index;
-  EXPECT_DOUBLE_EQ(got.score, expected.score) << what << " input " << index;
-  EXPECT_DOUBLE_EQ(got.margin, expected.margin) << what << " input " << index;
+  EXPECT_EQ(got.score, expected.score) << what << " input " << index;
+  EXPECT_EQ(got.margin, expected.margin) << what << " input " << index;
   EXPECT_EQ(got.accepted, expected.accepted) << what << " input " << index;
   ASSERT_NE(got.hierarchical(), nullptr) << what << " input " << index;
   ASSERT_NE(expected.hierarchical(), nullptr) << what << " input " << index;
@@ -108,6 +110,98 @@ TEST(LeafCacheEngine, CapacityOneThrashStillMatchesHierarchical) {
   EXPECT_GT(counters.evictions, 0u);
   EXPECT_GT(counters.reprogram_energy, Energy{});
   EXPECT_GT(counters.reprogram_latency, Time{});
+}
+
+TEST(LeafCacheEngine, CapacityOneReloadOfAnAllZeroClusterMatchesHierarchical) {
+  // A leaf of all-zero templates finds no positive self-match, so its
+  // calibration keeps the analytic-scale input-DAC bank. Every reload
+  // must realise that bank again, not one sampled afresh at the same
+  // scale. The other templates are dark in the lower half of the rows;
+  // queries lit only there tie every router column, and seed 19 numbers
+  // the all-zero leaf cluster 0, which a tie routes to. Queries lit all
+  // over alternate with them, so the one slot reloads on every switch.
+  const FeatureSpec spec = small_spec();
+  const std::size_t half = spec.dimension() / 2;
+  Rng rng(31);
+  const auto lit = [&](std::size_t from, std::size_t to) {
+    FeatureVector f = testing::random_feature_vector(spec, rng);
+    for (std::size_t r = 0; r < spec.dimension(); ++r) {
+      if (r < from || r >= to) {
+        f.digital[r] = 0;
+        f.analog[r] = 0.0;
+      }
+    }
+    return f;
+  };
+  std::vector<FeatureVector> templates(2, lit(0, 0));
+  // Two tight groups of four around two prototypes, so k-means keeps the
+  // all-zero pair as a leaf of its own.
+  for (const FeatureVector& prototype : {lit(0, half), lit(0, half)}) {
+    for (std::uint32_t step = 0; step < 4; ++step) {
+      FeatureVector t = prototype;
+      for (std::size_t r = 0; r < half; ++r) {
+        t.digital[r] = std::min(t.digital[r] + step, spec.levels() - 1);
+        t.analog[r] = static_cast<double>(t.digital[r]) / static_cast<double>(spec.levels() - 1);
+      }
+      templates.push_back(t);
+    }
+  }
+  std::vector<FeatureVector> inputs;
+  for (std::size_t q = 0; q < 240; ++q) {
+    inputs.push_back(q % 2 == 0 ? lit(half, spec.dimension()) : lit(0, spec.dimension()));
+  }
+
+  HierarchicalAmm flat(hierarchy_config(3, 19));
+  flat.store_templates(templates);
+
+  LeafCacheEngineConfig config;
+  config.hierarchy = hierarchy_config(3, 19);
+  config.leaf_slots = 1;
+  LeafCacheEngine cached(config);
+  cached.store_templates(templates);
+  ASSERT_EQ(cached.leaf_members(0), (std::vector<std::size_t>{0, 1}))
+      << "seed 19 no longer makes the all-zero pair leaf 0";
+
+  std::size_t zero_reloads = 0;
+  std::size_t previous = 0;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Recognition got = cached.recognize(inputs[i]);
+    expect_same_recognition(got, flat.recognize(inputs[i]), "all-zero leaf", i);
+    const std::size_t cluster = got.hierarchical()->cluster;
+    zero_reloads += (i > 0 && cluster == 0 && previous != 0) ? 1 : 0;
+    previous = cluster;
+  }
+  EXPECT_GT(zero_reloads, 50u);
+}
+
+TEST(LeafCacheEngine, CapacityOneRestoreAfterThrashMatchesHierarchical) {
+  // Re-storing a different template set forgets every remembered leaf
+  // calibration: the new leaves share the old ones' seeds but not their
+  // templates, so a stale scale would build the wrong input-DAC bank.
+  const auto templates = build_templates(testing::small_dataset(), small_spec());
+  TemplateOptions untrimmed;
+  untrimmed.level_trim = false;
+  const auto others = build_templates(testing::small_dataset(), small_spec(), untrimmed);
+  const auto inputs = all_inputs();
+
+  LeafCacheEngineConfig config;
+  config.hierarchy = hierarchy_config(3);
+  config.leaf_slots = 1;
+  LeafCacheEngine cached(config);
+  cached.store_templates(templates);
+  for (const auto& input : inputs) {
+    (void)cached.recognize(input);
+  }
+  ASSERT_GT(cached.counters().evictions, 0u);
+
+  HierarchicalAmm flat(hierarchy_config(3));
+  flat.store_templates(others);
+  cached.store_templates(others);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    expect_same_recognition(cached.recognize(inputs[i]), flat.recognize(inputs[i]),
+                            "re-stored", i);
+  }
+  EXPECT_GT(cached.counters().evictions, 0u);
 }
 
 TEST(LeafCacheEngine, HitEvictPinAccounting) {

@@ -142,6 +142,41 @@ TEST(SpinAmm, DeterministicForFixedSeed) {
   EXPECT_EQ(ra.dom, rb.dom);
 }
 
+TEST(SpinAmm, OverrideAtCalibratedScaleIsBitIdentical) {
+  // A twin told the scale its sibling calibrated skips calibration, yet
+  // must realise the very same input-DAC bank: both paths fork the
+  // engine's stream at the same points, so every current and answer
+  // matches to the bit. LeafCacheEngine's reloads rely on this.
+  const FaceDataset& ds = testing::small_dataset();
+  for (const CrossbarModel model : {CrossbarModel::kIdeal, CrossbarModel::kParasitic}) {
+    SpinAmmConfig c = small_config();
+    c.model = model;
+    c.thermal_noise = true;
+    SpinAmm calibrated(c);
+    calibrated.store_templates(small_templates(c));
+    c.input_full_scale_override = calibrated.input_full_scale();
+    SpinAmm twin(c);
+    twin.store_templates(small_templates(c));
+    ASSERT_EQ(twin.input_full_scale(), calibrated.input_full_scale());
+
+    for (const auto& sample : ds.all()) {
+      const FeatureVector f = extract_features(sample.image, c.features);
+      EXPECT_EQ(twin.column_currents(f), calibrated.column_currents(f));
+      const Recognition got = twin.recognize(f);
+      const Recognition expected = calibrated.recognize(f);
+      EXPECT_EQ(got.winner, expected.winner);
+      EXPECT_EQ(got.unique, expected.unique);
+      EXPECT_EQ(got.dom, expected.dom);
+      EXPECT_EQ(got.score, expected.score);
+      EXPECT_EQ(got.margin, expected.margin);
+      EXPECT_EQ(got.accepted, expected.accepted);
+      ASSERT_NE(got.spin(), nullptr);
+      ASSERT_NE(expected.spin(), nullptr);
+      EXPECT_EQ(got.spin()->wta.dom_codes, expected.spin()->wta.dom_codes);
+    }
+  }
+}
+
 TEST(SpinAmm, PowerReportMatchesStandaloneModel) {
   const SpinAmmConfig c = small_config();
   SpinAmm amm(c);
