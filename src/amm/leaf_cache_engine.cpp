@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/kmeans.hpp"
@@ -184,7 +185,8 @@ void LeafCacheEngine::store_templates(const std::vector<FeatureVector>& template
 
   pinned_.assign(h.clusters, false);
   slot_of_.assign(h.clusters, -1);
-  leaf_full_scale_.assign(h.clusters, 0.0);
+  evicted_.clear();  // the old leaves hold the old templates
+  evicted_.resize(h.clusters);
   slots_.clear();
   lru_clock_ = 0;
   queries_since_verify_ = 0;
@@ -295,42 +297,43 @@ std::size_t LeafCacheEngine::pick_victim() {
   }
 
   slot_of_[slots_[victim].cluster] = -1;
+  if (!endurance_active_) {
+    // A plain leaf stays as programmed: keep it for re-attach (load_slot).
+    evicted_[slots_[victim].cluster] = std::move(slots_[victim].engine);
+  }
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return victim;
 }
 
 void LeafCacheEngine::load_slot(std::size_t slot_index, std::size_t cluster,
                                 bool repair_reload) {
-  // Program the cluster's templates into the slot. The module derives
-  // through hierarchical_module_config with the cluster's own salt, so
-  // absent endurance mode the realised device noise — and therefore every
-  // answer — is bit-identical across reprogram cycles. That also makes a
-  // reload at the input scale the first load calibrated build the same
-  // input-DAC bank without calibrating again. Endurance mode always
-  // recalibrates: wear and delta writes change the devices between loads.
+  // Absent endurance mode a leaf is a pure function of its cluster: the
+  // module seeds from the cluster's own salt (hierarchical_module_config),
+  // its WTA runs without thermal noise, and nothing writes it after
+  // programming (verify_and_repair and inject_slot_fault need endurance
+  // mode). So a cluster whose leaf was built before gets that very leaf
+  // back, bit for bit what a rebuild would realise, and zeroing the
+  // charged counters below charges its one programming again, exactly as
+  // a rebuild would. Endurance mode always rebuilds: wear and delta
+  // writes change the devices between loads.
   Slot& slot = slots_[slot_index];
   slot.cluster = cluster;
   slot.last_used = lru_clock_;
-  SpinAmmConfig module =
-      hierarchical_module_config(config_.hierarchy, leaf_sets_[cluster].size(), cluster + 1);
-  if (!endurance_active_) {
-    module.input_full_scale_override = leaf_full_scale_[cluster];
-  }
-  slot.engine = std::make_unique<SpinAmm>(module);
   slot.charged_writes = 0;
   slot.charged_skips = 0;
   slot.charged_columns = 0;
   slot.col_map.clear();
-  if (endurance_active_) {
-    slot.col_map = substrates_[slot_index]->allocate_columns(leaf_sets_[cluster].size());
-    slot.engine->attach_substrate(substrates_[slot_index], slot.col_map,
-                                  config_.endurance.delta_writes);
-  }
-  slot.engine->store_templates(leaf_sets_[cluster]);
-  // A calibration that found no positive self-match keeps the analytic
-  // bank, which no override rebuilds: such a leaf recalibrates each load.
-  if (!endurance_active_ && slot.engine->input_full_scale() != module.input_full_scale_current()) {
-    leaf_full_scale_[cluster] = slot.engine->input_full_scale();
+  if (evicted_[cluster] != nullptr) {
+    slot.engine = std::move(evicted_[cluster]);
+  } else {
+    slot.engine = std::make_unique<SpinAmm>(
+        hierarchical_module_config(config_.hierarchy, leaf_sets_[cluster].size(), cluster + 1));
+    if (endurance_active_) {
+      slot.col_map = substrates_[slot_index]->allocate_columns(leaf_sets_[cluster].size());
+      slot.engine->attach_substrate(substrates_[slot_index], slot.col_map,
+                                    config_.endurance.delta_writes);
+    }
+    slot.engine->store_templates(leaf_sets_[cluster]);
   }
   slot_of_[cluster] = static_cast<std::ptrdiff_t>(slot_index);
   charge_slot(slot_index, repair_reload);

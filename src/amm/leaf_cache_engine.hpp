@@ -22,13 +22,17 @@
 /// Every module derives its configuration from the cluster index alone,
 /// so a reprogrammed leaf realises the same device noise as the leaf it
 /// replaces and the answers do not depend on the pool size: it only moves
-/// the hit rate, i.e. the energy/latency story. A miss builds only what
-/// the leaf keeps: a cluster's first load calibrates its input DACs, and
-/// absent endurance mode every later load passes that scale back as
-/// SpinAmmConfig::input_full_scale_override, which builds the same DAC
-/// bank bit for bit without the analytic bank calibration reads.
-/// HierarchicalAmm (hierarchical_amm.hpp) is this engine with one slot
-/// per cluster, every leaf programmed at store time.
+/// the hit rate, i.e. the energy/latency story. Absent endurance mode a
+/// leaf is a pure function of its cluster: its seed comes from the
+/// cluster index, its WTA runs without thermal noise, and nothing writes
+/// it after programming. So eviction keeps the realised leaf, and the
+/// cluster's next miss re-attaches it to a slot and charges its one
+/// programming again instead of building a bit-identical copy. The host
+/// then holds at most one realised leaf per touched cluster, while the
+/// modelled pool stays `leaf_slots` crossbars. Endurance mode rebuilds on
+/// every miss, since wear and delta writes change the devices between
+/// loads. HierarchicalAmm (hierarchical_amm.hpp) is this engine with one
+/// slot per cluster, every leaf programmed at store time.
 ///
 /// recognize_batch() groups queries by target cluster so one reprogram
 /// serves every query of the batch headed to that cluster — miss-cost
@@ -313,7 +317,8 @@ class LeafCacheEngine : public AssociativeEngine {
   SpinAmm* ensure_resident(std::size_t cluster);
   /// Frees a slot for an incoming leaf (grow, LRU, or wear-leveled pick).
   std::size_t pick_victim();
-  /// (Re)programs `cluster` into slot `slot` and charges the write path.
+  /// Loads `cluster` into slot `slot` (re-attaching its evicted plain
+  /// leaf, else programming a new one) and charges the write path.
   void load_slot(std::size_t slot, std::size_t cluster, bool repair_reload);
   /// Charges the slot engine's un-charged writes into the counters.
   void charge_slot(std::size_t slot, bool repair);
@@ -341,9 +346,9 @@ class LeafCacheEngine : public AssociativeEngine {
   // invariant spans two counters.
   std::vector<Slot> slots_;
   std::vector<std::ptrdiff_t> slot_of_;  // cluster -> slot index, -1 if absent
-  // cluster -> input full scale its first load calibrated, 0 until known
-  // (plain mode only; see load_slot).
-  std::vector<double> leaf_full_scale_;
+  // cluster -> its evicted leaf, kept for re-attach on the next miss; null
+  // while resident or never built (plain mode only; see load_slot).
+  std::vector<std::unique_ptr<SpinAmm>> evicted_;
   std::uint64_t lru_clock_ = 0;
 
   // Endurance mode (set in store_templates): substrate-backed slots.

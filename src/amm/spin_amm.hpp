@@ -60,8 +60,7 @@ struct SpinAmmConfig {
   /// row_target_conductance) so their DOM codes stay comparable. An
   /// override skips calibration and builds one input-DAC bank instead
   /// of two; at a calibrated engine's input_full_scale() it builds the
-  /// very bank calibration ended with (same seed, same stream position),
-  /// which is how LeafCacheEngine reloads a leaf without recalibrating.
+  /// very bank calibration ended with (same seed, same stream position).
   double input_full_scale_override = 0.0;
   /// Explicit per-row G_TS pad target [S]; <= 0 pads to this array's own
   /// largest row sum. See RcmConfig::row_target_conductance.
