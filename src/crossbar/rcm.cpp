@@ -10,9 +10,10 @@ namespace spinsim {
 
 RcmArray::RcmArray(const RcmConfig& config, Rng rng) : config_(config), rng_(rng) {
   require(config.rows > 0 && config.cols > 0, "RcmArray: dimensions must be positive");
+  const auto spec = std::make_shared<const MemristorSpec>(config.memristor);
   cells_.reserve(config.rows * config.cols);
   for (std::size_t i = 0; i < config.rows * config.cols; ++i) {
-    cells_.emplace_back(config.memristor, rng_);
+    cells_.emplace_back(spec, rng_);
   }
   dummy_g_.assign(config.rows, 0.0);
 }

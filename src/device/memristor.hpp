@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "core/random.hpp"
 
@@ -88,7 +89,11 @@ class Memristor {
   /// enabled) a lognormal-sampled per-device endurance limit.
   Memristor(const MemristorSpec& spec, Rng& rng);
 
-  const MemristorSpec& spec() const { return spec_; }
+  /// The same, sharing `spec` with other devices: an array's cells hold
+  /// one spec between them instead of a copy each.
+  Memristor(std::shared_ptr<const MemristorSpec> spec, Rng& rng);
+
+  const MemristorSpec& spec() const { return *spec_; }
 
   /// Programs the device to `level`; the realised conductance includes
   /// write noise drawn from `rng`. Throws InvalidArgument for a level
@@ -140,9 +145,10 @@ class Memristor {
   void set_range_scale(double scale) { range_scale_ = scale; }
 
  private:
+  explicit Memristor(std::shared_ptr<const MemristorSpec> spec);
   void fail(Rng& rng);
 
-  MemristorSpec spec_;
+  std::shared_ptr<const MemristorSpec> spec_;
   double range_scale_ = 1.0;  // device-to-device multiplicative skew
   double g_;
   std::size_t level_ = 0;
