@@ -114,12 +114,14 @@ TEST(LeafCacheEngine, CapacityOneThrashStillMatchesHierarchical) {
 
 TEST(LeafCacheEngine, CapacityOneReloadOfAnAllZeroClusterMatchesHierarchical) {
   // A leaf of all-zero templates finds no positive self-match, so its
-  // calibration keeps the analytic-scale input-DAC bank. Every reload
-  // must realise that bank again, not one sampled afresh at the same
-  // scale. The other templates are dark in the lower half of the rows;
-  // queries lit only there tie every router column, and seed 19 numbers
-  // the all-zero leaf cluster 0, which a tie routes to. Queries lit all
-  // over alternate with them, so the one slot reloads on every switch.
+  // calibration keeps the analytic-scale input-DAC bank. The one slot
+  // evicts that leaf and re-attaches it on every switch back, and a
+  // re-attached leaf must answer exactly as a fresh build of it does
+  // (HierarchicalAmm preloads fresh builds). The other templates are dark
+  // in the lower half of the rows; queries lit only there tie every
+  // router column, and seed 19 numbers the all-zero leaf cluster 0, which
+  // a tie routes to. Queries lit all over alternate with them, so the one
+  // slot reloads on every switch.
   const FeatureSpec spec = small_spec();
   const std::size_t half = spec.dimension() / 2;
   Rng rng(31);
@@ -175,9 +177,10 @@ TEST(LeafCacheEngine, CapacityOneReloadOfAnAllZeroClusterMatchesHierarchical) {
 }
 
 TEST(LeafCacheEngine, CapacityOneRestoreAfterThrashMatchesHierarchical) {
-  // Re-storing a different template set forgets every remembered leaf
-  // calibration: the new leaves share the old ones' seeds but not their
-  // templates, so a stale scale would build the wrong input-DAC bank.
+  // Re-storing a different template set drops every kept leaf: the new
+  // leaves share the old ones' seeds but not their templates, so a leaf
+  // kept from the first set and re-attached would still answer with the
+  // old templates. After the thrash, evicted leaves are kept for re-attach.
   const auto templates = build_templates(testing::small_dataset(), small_spec());
   TemplateOptions untrimmed;
   untrimmed.level_trim = false;

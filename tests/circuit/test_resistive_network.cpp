@@ -361,5 +361,47 @@ TEST(ResistiveNetwork, LargeGridSolves) {
   EXPECT_NEAR(v_mid, 0.5, 0.05);  // symmetric grid
 }
 
+TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
+  // The parasitic 64x160 crossbar in RcmArray::build_parasitic_network's
+  // layout: row bars driven from the left edge, column bars ending in a
+  // pinned termination, a memristor at every crosspoint, and a dummy
+  // device from each row's far end to a pinned dummy bar. A banded order
+  // leaves 2,253,506 factor entries; nested dissection about a third.
+  const std::size_t rows = 64;
+  const std::size_t cols = 160;
+  const double g_seg = 1.0 / 2.5;
+  Rng rng(61);
+  ResistiveNetwork net;
+  const RNode row_base = net.add_nodes(rows * cols);
+  const RNode col_base = net.add_nodes(rows * cols);
+  const auto row_node = [&](std::size_t i, std::size_t j) { return row_base + i * cols + j; };
+  const auto col_node = [&](std::size_t i, std::size_t j) { return col_base + i * cols + j; };
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j + 1 < cols; ++j) {
+      net.add_conductance(row_node(i, j), row_node(i, j + 1), g_seg);
+    }
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t i = 0; i + 1 < rows; ++i) {
+      net.add_conductance(col_node(i, j), col_node(i + 1, j), g_seg);
+    }
+    const RNode term = net.add_node();
+    net.fix_voltage(term, 0.0);
+    net.add_conductance(col_node(rows - 1, j), term, g_seg);
+  }
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = 0; j < cols; ++j) {
+      net.add_conductance(row_node(i, j), col_node(i, j), 1.0 / rng.uniform(1e3, 32e3));
+    }
+  }
+  const RNode dummy_bar = net.add_node();
+  net.fix_voltage(dummy_bar, 0.0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    net.add_conductance(row_node(i, cols - 1), dummy_bar, 1.0 / rng.uniform(1e3, 32e3));
+  }
+  net.factorize();
+  EXPECT_LE(net.factor_nnz(), 1'000'000u);
+}
+
 }  // namespace
 }  // namespace spinsim

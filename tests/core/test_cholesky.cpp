@@ -102,7 +102,7 @@ TEST(SparseLdlt, AgreesWithCg) {
   }
 }
 
-TEST(SparseLdlt, NoOrderingMatchesRcmOrdering) {
+TEST(SparseLdlt, NoOrderingMatchesNestedDissection) {
   const CsrMatrix a = random_spd(50, 21);
   Rng rng(22);
   std::vector<double> b(50);
@@ -111,24 +111,24 @@ TEST(SparseLdlt, NoOrderingMatchesRcmOrdering) {
   }
   SparseLdlt natural;
   LdltOptions no_perm;
-  no_perm.use_rcm_ordering = false;
+  no_perm.use_fill_reducing_ordering = false;
   natural.factorize(a, no_perm);
-  SparseLdlt rcm;
-  rcm.factorize(a);
+  SparseLdlt dissected;
+  dissected.factorize(a);
   const std::vector<double> x0 = natural.solve(b);
-  const std::vector<double> x1 = rcm.solve(b);
+  const std::vector<double> x1 = dissected.solve(b);
   for (std::size_t i = 0; i < b.size(); ++i) {
     EXPECT_NEAR(x0[i], x1[i], 1e-10 * (std::abs(x0[i]) + 1.0));
   }
 }
 
 TEST(SparseLdlt, InverseEntriesMatchSolveBitForBit) {
-  for (const bool use_rcm : {true, false}) {
+  for (const bool reorder : {true, false}) {
     for (const std::size_t n : {3u, 17u, 60u, 200u}) {
       const CsrMatrix a = random_spd(n, 500 + n);
       SparseLdlt ldlt;
       LdltOptions options;
-      options.use_rcm_ordering = use_rcm;
+      options.use_fill_reducing_ordering = reorder;
       ldlt.factorize(a, options);
       const std::vector<std::size_t>& perm = ldlt.permutation();
 
@@ -158,7 +158,7 @@ TEST(SparseLdlt, InverseEntriesMatchSolveBitForBit) {
           const std::vector<double> x = ldlt.solve(e);
           for (std::size_t c = 0; c < cols->size(); ++c) {
             EXPECT_EQ(block[j * cols->size() + c], x[(*cols)[c]])
-                << "n = " << n << (use_rcm ? " rcm" : " natural") << ", row " << rows[j]
+                << "n = " << n << (reorder ? " dissected" : " natural") << ", row " << rows[j]
                 << ", col " << (*cols)[c];
           }
         }
@@ -186,61 +186,66 @@ TEST(SparseLdlt, SolveBeforeFactorizeThrows) {
   EXPECT_THROW(ldlt.solve({1.0}), InvalidArgument);
 }
 
-TEST(ReverseCuthillMckee, IsAPermutation) {
-  const CsrMatrix a = random_spd(80, 33);
-  const std::vector<std::size_t> perm = reverse_cuthill_mckee(a);
-  ASSERT_EQ(perm.size(), 80u);
-  std::vector<char> seen(80, 0);
-  for (const std::size_t p : perm) {
-    ASSERT_LT(p, 80u);
-    EXPECT_FALSE(seen[p]);
-    seen[p] = 1;
+/// Two 100-node grids, a 100-node path and 120 isolated nodes, numbered
+/// so that no component is contiguous in the input order.
+CsrMatrix disconnected_pattern() {
+  const std::size_t side = 10;
+  const std::size_t n = 2 * side * side + 100 + 120;
+  const auto node = [&](std::size_t k) { return (37 * k) % n; };  // gcd(37, n) = 1
+  CooBuilder builder(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    builder.add(i, i, 1.0);
+  }
+  const auto link = [&](std::size_t a, std::size_t b) {
+    builder.add(node(a), node(b), -0.1);
+    builder.add(node(b), node(a), -0.1);
+  };
+  for (std::size_t g = 0; g < 2; ++g) {
+    const std::size_t base = g * side * side;
+    for (std::size_t r = 0; r < side; ++r) {
+      for (std::size_t c = 0; c < side; ++c) {
+        if (c + 1 < side) {
+          link(base + r * side + c, base + r * side + c + 1);
+        }
+        if (r + 1 < side) {
+          link(base + r * side + c, base + (r + 1) * side + c);
+        }
+      }
+    }
+  }
+  for (std::size_t k = 2 * side * side; k + 1 < 2 * side * side + 100; ++k) {
+    link(k, k + 1);
+  }
+  return builder.compress();
+}
+
+TEST(NestedDissection, IsAPermutation) {
+  CooBuilder one(1, 1);
+  one.add(0, 0, 2.0);
+  // Random networks large enough to be split several times, then the
+  // disconnected, empty and one-node patterns.
+  for (const CsrMatrix& a : {random_spd(80, 113), random_spd(300, 333), random_spd(1000, 1033),
+                             disconnected_pattern(), CooBuilder(0, 0).compress(), one.compress()}) {
+    const std::size_t n = a.rows();
+    SCOPED_TRACE(n);
+    const std::vector<std::size_t> perm = nested_dissection(a);
+    ASSERT_EQ(perm.size(), n);
+    std::vector<char> seen(n, 0);
+    for (const std::size_t p : perm) {
+      ASSERT_LT(p, n);
+      EXPECT_FALSE(seen[p]) << "node " << p << " appears twice";
+      seen[p] = 1;
+    }
   }
 }
 
-TEST(ReverseCuthillMckee, ReducesBandwidthOfAGrid) {
-  // 2D 12x12 grid Laplacian numbered in a scrambled order: RCM should
-  // recover a bandwidth close to the grid width, far below n.
-  const std::size_t side = 12;
-  const std::size_t n = side * side;
-  Rng rng(4);
-  std::vector<std::size_t> shuffled(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shuffled[i] = i;
-  }
-  rng.shuffle(shuffled);
-  CooBuilder builder(n, n);
-  const auto stamp = [&](std::size_t a, std::size_t b) {
-    builder.add(shuffled[a], shuffled[b], -1.0);
-    builder.add(shuffled[b], shuffled[a], -1.0);
-    builder.add(shuffled[a], shuffled[a], 1.0);
-    builder.add(shuffled[b], shuffled[b], 1.0);
-  };
-  for (std::size_t r = 0; r < side; ++r) {
-    for (std::size_t c = 0; c < side; ++c) {
-      if (c + 1 < side) {
-        stamp(r * side + c, r * side + c + 1);
-      }
-      if (r + 1 < side) {
-        stamp(r * side + c, (r + 1) * side + c);
-      }
-    }
-  }
-  const CsrMatrix a = builder.compress();
-  const std::vector<std::size_t> perm = reverse_cuthill_mckee(a);
-  std::vector<std::size_t> inv(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    inv[perm[k]] = k;
-  }
-  std::size_t bandwidth = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t p = a.row_ptr()[i]; p < a.row_ptr()[i + 1]; ++p) {
-      const std::size_t j = a.col_idx()[p];
-      const std::size_t d = inv[i] > inv[j] ? inv[i] - inv[j] : inv[j] - inv[i];
-      bandwidth = std::max(bandwidth, d);
-    }
-  }
-  EXPECT_LE(bandwidth, 3 * side);  // scrambled order would be ~n
+TEST(NestedDissection, IsDeterministic) {
+  const CsrMatrix a = random_spd(1000, 34);
+  const std::vector<std::size_t> first = nested_dissection(a);
+  EXPECT_EQ(nested_dissection(a), first);
+  SparseLdlt ldlt;
+  ldlt.factorize(a);
+  EXPECT_EQ(ldlt.permutation(), first);
 }
 
 }  // namespace

@@ -168,26 +168,40 @@ TEST(CrossbarSolverPaths, TransferBeforePrepareThrows) {
 }
 
 // %a captures of transfer-operator entries T[j][r] (8x40 array, Rng(53),
-// random_columns seed 54), taken while the operator was still built with
-// one full solve per output column. Each is g_seg * (A^-1 e_col_last_j)
-// at row r's input node, summed in the back pass's column-then-entry
-// order; swapping the reciprocity direction (solving from the inputs),
-// scaling by 1/R instead of g_seg, or reordering the back-pass sum rounds
-// some of them differently. The columns span every block of output
-// columns for any solve block of 8 to 32 right-hand sides.
+// random_columns seed 54), taken with one full SparseLdlt::solve per
+// output column over the nested-dissection factor. Each is g_seg *
+// (A^-1 e_col_last_j) at row r's input node, summed in the back pass's
+// column-then-entry order; swapping the reciprocity direction (solving
+// from the inputs), scaling by 1/R instead of g_seg, or reordering the
+// back-pass sum rounds some of them differently. The columns span every
+// block of output columns for any solve block of 8 to 32 right-hand sides.
 constexpr std::size_t kPinnedColumns[] = {0, 1, 9, 17, 23, 24, 32, 39};
 constexpr double kTransferFirstRow[] = {
+    0x1.e4703de1da579p-7, 0x1.ce64d1d4ec6f8p-8, 0x1.0eccf100c226ap-5, 0x1.de7149366921ap-7,
+    0x1.84296f1792e7ep-8, 0x1.e64f882edbf8ap-7, 0x1.7e41b54d77cf9p-6, 0x1.262c82453059fp-5,
+};
+constexpr double kTransferLastRow[] = {
+    0x1.c90be9fe28597p-6, 0x1.82702bd170a0ap-8, 0x1.3301962260545p-5, 0x1.d3972513e1ee4p-6,
+    0x1.16e6642beb0b5p-5, 0x1.fdc28c05001dp-6, 0x1.6213e922a7d06p-6, 0x1.1b01f6d46c885p-5,
+};
+// The same entries captured the same way over the earlier banded
+// (reverse Cuthill-McKee) factor. Another elimination order rounds
+// differently (here by at most 7.6e-13 relative), but the operator
+// must not move beyond rounding.
+constexpr double kTransferFirstRowBanded[] = {
     0x1.e4703de1db50dp-7, 0x1.ce64d1d4ed5c7p-8, 0x1.0eccf100c2b2cp-5, 0x1.de7149366a191p-7,
     0x1.84296f1793aeep-8, 0x1.e64f882edcf4cp-7, 0x1.7e41b54d78948p-6, 0x1.262c824530f1p-5,
 };
-constexpr double kTransferLastRow[] = {
+constexpr double kTransferLastRowBanded[] = {
     0x1.c90be9fe26f1fp-6, 0x1.82702bd16f6fcp-8, 0x1.330196225f5d4p-5, 0x1.d3972513e06ffp-6,
     0x1.16e6642bea253p-5, 0x1.fdc28c04fe783p-6, 0x1.6213e922a6a9cp-6, 0x1.1b01f6d46b9d3p-5,
 };
 
 TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
   static_assert(std::size(kTransferFirstRow) == std::size(kPinnedColumns) &&
-                std::size(kTransferLastRow) == std::size(kPinnedColumns));
+                std::size(kTransferLastRow) == std::size(kPinnedColumns) &&
+                std::size(kTransferFirstRowBanded) == std::size(kPinnedColumns) &&
+                std::size(kTransferLastRowBanded) == std::size(kPinnedColumns));
   RcmConfig config;
   config.rows = 8;
   config.cols = 40;
@@ -206,6 +220,10 @@ TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
     const std::size_t j = kPinnedColumns[k];
     EXPECT_EQ(first[j], kTransferFirstRow[k]) << "row 0, column " << j;
     EXPECT_EQ(last[j], kTransferLastRow[k]) << "row " << config.rows - 1 << ", column " << j;
+    EXPECT_NEAR(first[j], kTransferFirstRowBanded[k], 1e-11 * kTransferFirstRowBanded[k])
+        << "row 0, column " << j;
+    EXPECT_NEAR(last[j], kTransferLastRowBanded[k], 1e-11 * kTransferLastRowBanded[k])
+        << "row " << config.rows - 1 << ", column " << j;
   }
 }
 
