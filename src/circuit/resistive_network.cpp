@@ -1,5 +1,7 @@
 #include "circuit/resistive_network.hpp"
 
+#include <utility>
+
 #include "core/error.hpp"
 
 namespace spinsim {
@@ -169,6 +171,11 @@ const std::vector<double>& ResistiveNetwork::solve_cg(const CgOptions& options) 
   return solution_;
 }
 
+void ResistiveNetwork::set_elimination_order(std::vector<RNode> order) {
+  elimination_order_ = std::move(order);
+  factor_dirty_ = true;
+}
+
 void ResistiveNetwork::factorize() {
   if (structure_dirty_) {
     build_system();
@@ -176,7 +183,17 @@ void ResistiveNetwork::factorize() {
   if (!factor_dirty_) {
     return;
   }
-  ldlt_.factorize(reduced_a_);
+  std::vector<std::size_t> order;
+  order.reserve(reduced_a_.rows());
+  for (const RNode n : elimination_order_) {
+    require(n < node_count(), "ResistiveNetwork::factorize: unknown node in elimination order");
+    if (reduced_index_[n] >= 0) {
+      order.push_back(static_cast<std::size_t>(reduced_index_[n]));
+    }
+  }
+  require(elimination_order_.empty() || order.size() == reduced_a_.rows(),
+          "ResistiveNetwork::factorize: elimination order must list every free node once");
+  ldlt_.factorize(reduced_a_, order);
   factor_dirty_ = false;
 }
 

@@ -76,6 +76,13 @@ class ResistiveNetwork {
   /// Forces the direct path: factorizes lazily, then back-substitutes.
   const std::vector<double>& solve_factored();
 
+  /// Sets the order factorize() eliminates the free nodes in. Every free
+  /// node must appear exactly once; pinned nodes are not unknowns and are
+  /// skipped wherever they appear. Empty (the default) keeps node order.
+  /// factorize() throws InvalidArgument on an unknown node or on an
+  /// order that misses or repeats a free node.
+  void set_elimination_order(std::vector<RNode> order);
+
   /// Eagerly computes the LDL^T factor of the reduced system (no-op if
   /// already current). Called lazily by solve_factored().
   void factorize();
@@ -142,6 +149,7 @@ class ResistiveNetwork {
 
   // Direct-solver state.
   SolverStrategy strategy_ = SolverStrategy::kCg;
+  std::vector<RNode> elimination_order_;
   SparseLdlt ldlt_;
   bool factor_dirty_ = true;
 };

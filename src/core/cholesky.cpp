@@ -4,7 +4,6 @@
 #include <limits>
 #include <numeric>
 #include <string>
-#include <utility>
 
 #include "core/error.hpp"
 
@@ -16,158 +15,17 @@ namespace {
 /// node-major (w[i * kRhsBlock + r]) so one sweep over L serves them all.
 constexpr std::size_t kRhsBlock = 24;
 
-/// nested_dissection() leaves parts of this many nodes or fewer unsplit.
-/// On a 64x160 crossbar, leaves of 8 to 64 nodes cost about the same
-/// factorisation work (sum of squared column counts within 6 %); 1,024
-/// doubles the factor.
-constexpr std::size_t kDissectionLeaf = 64;
-
 }  // namespace
 
-std::vector<std::size_t> nested_dissection(const CsrMatrix& a) {
-  require(a.rows() == a.cols(), "nested_dissection: matrix must be square");
-  const std::size_t n = a.rows();
-  const auto& row_ptr = a.row_ptr();
-  const auto& col_idx = a.col_idx();
-
-  // order[b, e) of every pending part is rewritten in place as
-  // [near part | far part | separator], so once no part is left to split
-  // the array is the elimination order.
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::vector<std::size_t> part(n, 0);  // id of the part being split; 0 = none
-  std::vector<std::size_t> seen(n, 0);  // id of the search that reached a node
-  std::vector<std::size_t> level(n, 0);
-  std::vector<std::size_t> found;      // one search's nodes, level by level
-  std::vector<std::size_t> level_end;  // found[level_end[l] - 1] ends level l
-  std::vector<std::size_t> near;
-  std::vector<std::size_t> far;
-  std::vector<std::size_t> separator;
-  std::size_t n_parts = 0;
-  std::size_t n_searches = 0;
-
-  // Breadth-first level structure of root's component within part `id`.
-  const auto grow = [&](std::size_t root, std::size_t id) {
-    const std::size_t search = ++n_searches;
-    found.assign(1, root);
-    level_end.clear();
-    seen[root] = search;
-    for (std::size_t head = 0; head < found.size();) {
-      const std::size_t end = found.size();
-      for (; head < end; ++head) {
-        const std::size_t u = found[head];
-        level[u] = level_end.size();
-        for (std::size_t p = row_ptr[u]; p < row_ptr[u + 1]; ++p) {
-          const std::size_t v = col_idx[p];
-          if (part[v] == id && seen[v] != search) {
-            seen[v] = search;
-            found.push_back(v);
-          }
-        }
-      }
-      level_end.push_back(end);
-    }
-  };
-
-  std::vector<std::pair<std::size_t, std::size_t>> pending = {{0, n}};
-  while (!pending.empty()) {
-    const auto [b, e] = pending.back();
-    pending.pop_back();
-    if (e - b <= kDissectionLeaf) {
-      continue;  // a small part keeps the order it was found in
-    }
-    const std::size_t id = ++n_parts;
-    for (std::size_t k = b; k < e; ++k) {
-      part[order[k]] = id;
-    }
-    grow(order[b], id);
-    if (found.size() < e - b) {
-      // Disconnected: lay the components out one after another, each in
-      // search order, and split each on its own.
-      near.clear();
-      for (std::size_t k = b; k < e; ++k) {
-        if (part[order[k]] == id) {
-          grow(order[k], id);
-          pending.emplace_back(b + near.size(), b + near.size() + found.size());
-          for (const std::size_t v : found) {
-            part[v] = 0;
-            near.push_back(v);
-          }
-        }
-      }
-      std::copy(near.begin(), near.end(), order.begin() + static_cast<std::ptrdiff_t>(b));
-      continue;
-    }
-
-    // Pseudo-peripheral root (George and Liu): restart from the node of
-    // the last level with the fewest neighbours in the part until the
-    // structure stops getting deeper.
-    for (std::size_t depth = level_end.size(); depth > 1; depth = level_end.size()) {
-      std::size_t root = n;
-      std::size_t root_degree = n;
-      for (std::size_t q = level_end[depth - 2]; q < found.size(); ++q) {
-        const std::size_t v = found[q];
-        std::size_t degree = 0;
-        for (std::size_t p = row_ptr[v]; p < row_ptr[v + 1]; ++p) {
-          if (col_idx[p] != v && part[col_idx[p]] == id) {
-            ++degree;
-          }
-        }
-        if (degree < root_degree) {
-          root = v;
-          root_degree = degree;
-        }
-      }
-      grow(root, id);
-      if (level_end.size() <= depth) {
-        break;
-      }
-    }
-    const std::size_t depth = level_end.size();
-    if (depth < 3) {
-      continue;  // no level separates two others
-    }
-
-    // The middle level separates the levels before it from those after;
-    // its nodes with no neighbour after it join the near part.
-    std::size_t middle = 1;
-    while (middle + 2 < depth && level_end[middle] <= (e - b) / 2) {
-      ++middle;
-    }
-    near.clear();
-    far.clear();
-    separator.clear();
-    for (const std::size_t v : found) {
-      if (level[v] < middle) {
-        near.push_back(v);
-      } else if (level[v] > middle) {
-        far.push_back(v);
-      } else {
-        bool touches_far = false;
-        for (std::size_t p = row_ptr[v]; p < row_ptr[v + 1] && !touches_far; ++p) {
-          const std::size_t w = col_idx[p];
-          touches_far = part[w] == id && level[w] == middle + 1;
-        }
-        (touches_far ? separator : near).push_back(v);
-      }
-    }
-    auto out = order.begin() + static_cast<std::ptrdiff_t>(b);
-    out = std::copy(near.begin(), near.end(), out);
-    out = std::copy(far.begin(), far.end(), out);
-    std::copy(separator.begin(), separator.end(), out);
-    pending.emplace_back(b, b + near.size());
-    pending.emplace_back(b + near.size(), b + near.size() + far.size());
-  }
-  return order;
-}
-
-void SparseLdlt::factorize(const CsrMatrix& a, const LdltOptions& options) {
+void SparseLdlt::factorize(const CsrMatrix& a, const std::vector<std::size_t>& order) {
+  factorized_ = false;  // stays false if a check or a pivot aborts below
   require(a.rows() == a.cols(), "SparseLdlt::factorize: matrix must be square");
   const std::size_t n = a.rows();
   require(n <= std::numeric_limits<std::uint32_t>::max(),
           "SparseLdlt::factorize: dimension exceeds 32-bit row indices");
+  require(order.empty() || order.size() == n,
+          "SparseLdlt::factorize: order must list every unknown once");
   n_ = n;
-  factorized_ = false;  // stays false if a non-SPD pivot aborts below
   if (n == 0) {
     perm_.clear();
     inv_perm_.clear();
@@ -179,16 +37,16 @@ void SparseLdlt::factorize(const CsrMatrix& a, const LdltOptions& options) {
     return;
   }
 
-  if (options.use_fill_reducing_ordering) {
-    perm_ = nested_dissection(a);
-  } else {
+  if (order.empty()) {
     perm_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      perm_[i] = i;
-    }
+    std::iota(perm_.begin(), perm_.end(), std::size_t{0});
+  } else {
+    perm_ = order;
   }
-  inv_perm_.assign(n, 0);
+  inv_perm_.assign(n, n);  // n == "not yet placed"
   for (std::size_t k = 0; k < n; ++k) {
+    require(perm_[k] < n && inv_perm_[perm_[k]] == n,
+            "SparseLdlt::factorize: order must list every unknown once");
     inv_perm_[perm_[k]] = k;
   }
 
@@ -366,8 +224,16 @@ std::vector<double> SparseLdlt::inverse_entries(const std::vector<std::size_t>& 
   // Every lane repeats solve_into()'s arithmetic in its order (column j,
   // then entry p). Before a lane's unit entry its forward pass only
   // subtracts +-0 from +0, so starting the block at its lowest unit entry
-  // changes no bit; unused lanes of a short last block stay zero.
-  std::vector<double> w(n_ * K);
+  // changes no bit; unused lanes of a short last block stay zero. No
+  // block touches a position below its lowest unit or wanted entry, so
+  // the scratch holds only the positions from `base` up; at(i) points at
+  // position i's K right-hand sides.
+  std::size_t base = stop;
+  for (const std::size_t i : rows) {
+    base = std::min(base, inv_perm_[i]);
+  }
+  std::vector<double> w((n_ - base) * K);
+  const auto at = [&](std::size_t i) { return &w[(i - base) * K]; };
   for (std::size_t b0 = 0; b0 < rows.size(); b0 += K) {
     const std::size_t lanes = std::min(K, rows.size() - b0);
     std::size_t start = n_;
@@ -375,16 +241,16 @@ std::vector<double> SparseLdlt::inverse_entries(const std::vector<std::size_t>& 
       start = std::min(start, inv_perm_[rows[b0 + r]]);
     }
     const std::size_t lo = std::min(start, stop);
-    std::fill(w.begin() + static_cast<std::ptrdiff_t>(lo * K), w.end(), 0.0);
+    std::fill(w.begin() + static_cast<std::ptrdiff_t>((lo - base) * K), w.end(), 0.0);
     for (std::size_t r = 0; r < lanes; ++r) {
-      w[inv_perm_[rows[b0 + r]] * K + r] = 1.0;
+      at(inv_perm_[rows[b0 + r]])[r] = 1.0;
     }
     // L Z = P E (unit lower triangle).
     for (std::size_t j = start; j < n_; ++j) {
       double zj[K];
-      std::copy_n(&w[j * K], K, zj);
+      std::copy_n(at(j), K, zj);
       for (std::size_t p = l_col_ptr_[j]; p < l_col_ptr_[j + 1]; ++p) {
-        double* wi = &w[std::size_t{l_row_idx_[p]} * K];
+        double* wi = at(l_row_idx_[p]);
         const double l = l_values_[p];
         for (std::size_t r = 0; r < K; ++r) {
           wi[r] -= l * zj[r];
@@ -394,26 +260,26 @@ std::vector<double> SparseLdlt::inverse_entries(const std::vector<std::size_t>& 
     // D W = Z.
     for (std::size_t j = stop; j < n_; ++j) {
       for (std::size_t r = 0; r < K; ++r) {
-        w[j * K + r] /= d_[j];
+        at(j)[r] /= d_[j];
       }
     }
     // L^T Y = W, down to the lowest wanted position.
     for (std::size_t j = n_; j-- > stop;) {
       double yj[K];
-      std::copy_n(&w[j * K], K, yj);
+      std::copy_n(at(j), K, yj);
       for (std::size_t p = l_col_ptr_[j]; p < l_col_ptr_[j + 1]; ++p) {
-        const double* wi = &w[std::size_t{l_row_idx_[p]} * K];
+        const double* wi = at(l_row_idx_[p]);
         const double l = l_values_[p];
         for (std::size_t r = 0; r < K; ++r) {
           yj[r] -= l * wi[r];
         }
       }
-      std::copy_n(yj, K, &w[j * K]);
+      std::copy_n(yj, K, at(j));
     }
     for (std::size_t r = 0; r < lanes; ++r) {
       double* dst = &out[(b0 + r) * n_cols];
       for (std::size_t c = 0; c < n_cols; ++c) {
-        dst[c] = w[inv_perm_[cols[c]] * K + r];
+        dst[c] = at(inv_perm_[cols[c]])[r];
       }
     }
   }

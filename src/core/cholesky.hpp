@@ -9,11 +9,11 @@
 ///
 /// The factorization is the classic up-looking LDL^T: an elimination-tree
 /// symbolic pass sizes L exactly, then a numeric pass fills it column by
-/// column with a sparse triangular solve per row. A nested-dissection
-/// pre-ordering keeps fill low on the grid-like crossbar graphs: a
-/// separator numbered after the two halves it splits confines fill to
-/// the halves and the separator's own columns, so a 64x160 crossbar's
-/// factor holds ~0.7M entries where a banded order leaves ~2.3M.
+/// column with a sparse triangular solve per row. The elimination order
+/// comes from the caller, who knows the graph: the parasitic crossbar
+/// passes a nested dissection of its own grid with its input and output
+/// nodes last (crossbar_elimination_order). That keeps a 64x160
+/// crossbar's factor to ~0.36M entries, where a banded order leaves ~2.3M.
 
 #pragma once
 
@@ -25,31 +25,16 @@
 
 namespace spinsim {
 
-/// Fill-reducing nested-dissection ordering of the symmetric pattern of
-/// `a`. Each part is split by the middle level of a breadth-first level
-/// structure grown from a pseudo-peripheral node; the level is trimmed to
-/// the nodes that touch the far side and numbered after both sides, which
-/// are split in turn. Parts of at most 64 nodes keep the order the search
-/// found them in. Disconnected patterns are split component by component.
-/// Deterministic: the same pattern always gives the same order. Returns
-/// `perm` with perm[k] = original index of the k-th node in the new
-/// ordering.
-std::vector<std::size_t> nested_dissection(const CsrMatrix& a);
-
-/// Options for SparseLdlt::factorize().
-struct LdltOptions {
-  /// Permute with nested_dissection(). False factors in the natural
-  /// order, which only serves as a reference to compare against.
-  bool use_fill_reducing_ordering = true;
-};
-
 /// Sparse LDL^T factorization P A P^T = L D L^T of an SPD matrix.
 class SparseLdlt {
  public:
   /// Factors `a` (symmetric positive definite, full pattern stored, as
-  /// produced by CooBuilder::compress). Throws NumericalError if a
-  /// non-positive pivot appears (matrix not SPD / singular).
-  void factorize(const CsrMatrix& a, const LdltOptions& options = {});
+  /// produced by CooBuilder::compress), eliminating its unknowns in
+  /// `order` (order[k] = original index of the k-th unknown eliminated).
+  /// An empty order means natural order. Throws InvalidArgument if a
+  /// non-empty order is not a permutation of 0..n-1, and NumericalError
+  /// if a non-positive pivot appears (matrix not SPD / singular).
+  void factorize(const CsrMatrix& a, const std::vector<std::size_t>& order = {});
 
   /// False until factorize() completes successfully (a throwing
   /// factorize() leaves the object unusable until the next success).
@@ -59,9 +44,6 @@ class SparseLdlt {
 
   /// Nonzeros in L (strictly lower triangle), a proxy for solve cost.
   std::size_t factor_nnz() const { return l_values_.size(); }
-
-  /// The fill-reducing permutation used (perm[k] = original index).
-  const std::vector<std::size_t>& permutation() const { return perm_; }
 
   /// Solves A x = b via forward/backward substitution. Throws
   /// InvalidArgument if not factorized or b has the wrong length.
@@ -76,8 +58,11 @@ class SparseLdlt {
   /// once per block instead of once per row. A block's forward pass starts
   /// at its lowest permuted unit entry and the back pass stops at the
   /// lowest permuted wanted entry, which skips only arithmetic that leaves
-  /// +0 or is never read; rows close in the permuted order therefore
-  /// share the most work. Indices may repeat and come in any order.
+  /// +0 or is never read, and the scratch covers only the positions from
+  /// the lowest of those to n. With every index among the last positions
+  /// of the order, as the crossbar numbers its input and output nodes,
+  /// both passes and the scratch stay inside that trailing block and no
+  /// other column of L is read. Indices may repeat and come in any order.
   /// Throws InvalidArgument if not factorized or an index is out of range.
   std::vector<double> inverse_entries(const std::vector<std::size_t>& rows,
                                       const std::vector<std::size_t>& cols) const;

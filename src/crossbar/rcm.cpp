@@ -2,11 +2,84 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "core/error.hpp"
 #include "core/matrix.hpp"
 
 namespace spinsim {
+
+namespace {
+
+/// Builds crossbar_elimination_order(): each part's halves, then its freed
+/// bar piece, then its separator. Boundary nodes are left for the caller.
+struct GridDissection {
+  std::size_t rows;
+  std::size_t cols;
+  std::vector<RNode> order;
+
+  void row_node(std::size_t i, std::size_t j) {
+    if (j > 0) {  // (i, 0) is a row input
+      order.push_back(i * cols + j);
+    }
+  }
+  void col_node(std::size_t i, std::size_t j) {
+    if (i + 1 < rows) {  // (rows - 1, j) is a column output
+      order.push_back((rows + i) * cols + j);
+    }
+  }
+
+  // Both layers of crosspoints [i0, i1) x [j0, j1).
+  void block(std::size_t i0, std::size_t i1, std::size_t j0, std::size_t j1) {
+    if (i0 == i1 || j0 == j1) {
+      return;
+    }
+    if (j1 - j0 >= i1 - i0) {
+      const std::size_t jm = j0 + (j1 - j0) / 2;
+      block(i0, i1, j0, jm);
+      block(i0, i1, jm + 1, j1);
+      bar_piece(i0, i1, [&](std::size_t i) { col_node(i, jm); });
+      for (std::size_t i = i0; i < i1; ++i) {
+        row_node(i, jm);
+      }
+    } else {
+      const std::size_t im = i0 + (i1 - i0) / 2;
+      block(i0, im, j0, j1);
+      block(im + 1, i1, j0, j1);
+      bar_piece(j0, j1, [&](std::size_t j) { row_node(im, j); });
+      for (std::size_t j = j0; j < j1; ++j) {
+        col_node(im, j);
+      }
+    }
+  }
+
+  // A freed bar piece is a path: its middle node goes after both halves.
+  template <class Emit>
+  void bar_piece(std::size_t b, std::size_t e, const Emit& emit) {
+    if (b == e) {
+      return;
+    }
+    const std::size_t m = b + (e - b) / 2;
+    bar_piece(b, m, emit);
+    bar_piece(m + 1, e, emit);
+    emit(m);
+  }
+};
+
+}  // namespace
+
+std::vector<RNode> crossbar_elimination_order(std::size_t rows, std::size_t cols) {
+  GridDissection grid{rows, cols, {}};
+  grid.order.reserve(2 * rows * cols);
+  grid.block(0, rows, 0, cols);
+  for (std::size_t i = 0; i < rows; ++i) {
+    grid.order.push_back(i * cols);
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    grid.order.push_back((2 * rows - 1) * cols + j);
+  }
+  return std::move(grid.order);
+}
 
 RcmArray::RcmArray(const RcmConfig& config, Rng rng) : config_(config), rng_(rng) {
   require(config.rows > 0 && config.cols > 0, "RcmArray: dimensions must be positive");
@@ -269,7 +342,11 @@ void RcmArray::build_parasitic_network(double v_bias) {
   const double g_seg = 1.0 / config_.segment_resistance();
 
   // Node layout: row-bar junctions then column-bar junctions, then the
-  // per-column terminations and the shared dummy bar.
+  // per-column terminations and the shared dummy bar. The junctions are
+  // eliminated in crossbar_elimination_order(): a nested dissection of the
+  // grid, which keeps the factor sparse, with the row inputs and column
+  // outputs last, so the transfer operator's block solves stay inside the
+  // factor's trailing rows + cols columns.
   const RNode row_base = net_->add_nodes(rows * cols);
   const RNode col_base = net_->add_nodes(rows * cols);
   const auto row_node = [&](std::size_t i, std::size_t j) { return row_base + i * cols + j; };
@@ -318,6 +395,7 @@ void RcmArray::build_parasitic_network(double v_bias) {
       }
     }
   }
+  net_->set_elimination_order(crossbar_elimination_order(rows, cols));
   net_v_bias_ = v_bias;
 }
 

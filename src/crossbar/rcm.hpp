@@ -59,6 +59,29 @@ struct RcmConfig {
   double segment_resistance() const { return wire_res_per_um * cell_pitch_um; }
 };
 
+/// Elimination order of the parasitic network of a rows x cols array.
+/// The network numbers row-bar junction (i, j) as node i * cols + j and
+/// column-bar junction (i, j) as node rows * cols + i * cols + j; the
+/// order lists each of these 2 * rows * cols free nodes once.
+///
+/// It is George's nested dissection of the grid (A. George, "Nested
+/// dissection of a regular finite element mesh", SIAM J. Numer. Anal.,
+/// 1973). Each rectangle of crosspoints is cut across its longer side at
+/// the middle. A vertical cut at column jm takes the rectangle's row-bar
+/// junctions in that column as separator: they are the only links
+/// between its left and right halves, and they go after both. Inside the
+/// rectangle, that column's column-bar piece then touches nothing but the
+/// separator, so it is a part of its own. A horizontal cut does the same with rows and columns
+/// swapped. Halves and freed bar pieces are split the same way down to
+/// single junctions. Every separator is as long as a rectangle's short
+/// side, and a 64x160 factor holds ~0.36M entries.
+///
+/// The row-input nodes (i, 0) and then the column-output nodes
+/// (rows - 1, j) come last. The transfer operator is the block of the
+/// inverse between exactly these nodes, so SparseLdlt::inverse_entries
+/// reads only the factor's trailing rows + cols columns to build it.
+std::vector<RNode> crossbar_elimination_order(std::size_t rows, std::size_t cols);
+
 /// Which algorithm evaluates the parasitic network.
 enum class CrossbarSolver {
   kCg,        ///< iterative CG per query (reference path)

@@ -3,6 +3,7 @@
 #include "circuit/mna.hpp"
 #include "circuit/resistive_network.hpp"
 #include "core/random.hpp"
+#include "crossbar/rcm.hpp"
 
 namespace spinsim {
 namespace {
@@ -366,7 +367,8 @@ TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
   // layout: row bars driven from the left edge, column bars ending in a
   // pinned termination, a memristor at every crosspoint, and a dummy
   // device from each row's far end to a pinned dummy bar. A banded order
-  // leaves 2,253,506 factor entries; nested dissection about a third.
+  // leaves 2,253,506 factor entries and a dissection of the graph alone
+  // 702,151; the crossbar's own grid dissection about half that.
   const std::size_t rows = 64;
   const std::size_t cols = 160;
   const double g_seg = 1.0 / 2.5;
@@ -399,8 +401,9 @@ TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
   for (std::size_t i = 0; i < rows; ++i) {
     net.add_conductance(row_node(i, cols - 1), dummy_bar, 1.0 / rng.uniform(1e3, 32e3));
   }
+  net.set_elimination_order(crossbar_elimination_order(rows, cols));
   net.factorize();
-  EXPECT_LE(net.factor_nnz(), 1'000'000u);
+  EXPECT_LE(net.factor_nnz(), 450'000u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "core/cg.hpp"
@@ -102,7 +103,19 @@ TEST(SparseLdlt, AgreesWithCg) {
   }
 }
 
-TEST(SparseLdlt, NoOrderingMatchesNestedDissection) {
+/// A deterministic shuffle of 0..n-1.
+std::vector<std::size_t> shuffled_order(std::size_t n, std::uint64_t seed) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  Rng rng(seed);
+  for (std::size_t k = n; k > 1; --k) {
+    std::swap(order[k - 1],
+              order[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(k) - 1))]);
+  }
+  return order;
+}
+
+TEST(SparseLdlt, ExplicitOrderMatchesNaturalOrder) {
   const CsrMatrix a = random_spd(50, 21);
   Rng rng(22);
   std::vector<double> b(50);
@@ -110,27 +123,45 @@ TEST(SparseLdlt, NoOrderingMatchesNestedDissection) {
     v = rng.uniform(-1.0, 1.0);
   }
   SparseLdlt natural;
-  LdltOptions no_perm;
-  no_perm.use_fill_reducing_ordering = false;
-  natural.factorize(a, no_perm);
-  SparseLdlt dissected;
-  dissected.factorize(a);
+  natural.factorize(a);
+  SparseLdlt shuffled;
+  shuffled.factorize(a, shuffled_order(50, 23));
   const std::vector<double> x0 = natural.solve(b);
-  const std::vector<double> x1 = dissected.solve(b);
+  const std::vector<double> x1 = shuffled.solve(b);
   for (std::size_t i = 0; i < b.size(); ++i) {
     EXPECT_NEAR(x0[i], x1[i], 1e-10 * (std::abs(x0[i]) + 1.0));
   }
 }
 
+TEST(SparseLdlt, FactorizeRejectsAnOrderThatIsNotAPermutation) {
+  const CsrMatrix a = random_spd(6, 24);
+  SparseLdlt ldlt;
+  ldlt.factorize(a);
+  const std::vector<std::vector<std::size_t>> bad = {
+      {0, 1, 2, 3, 4, 4},     // repeats a node and misses one
+      {0, 1, 2, 3, 4},        // misses a node
+      {0, 1, 2, 3, 4, 5, 0},  // repeats a node
+      {0, 1, 2, 3, 4, 6},     // names a node that does not exist
+  };
+  for (const auto& order : bad) {
+    EXPECT_THROW(ldlt.factorize(a, order), InvalidArgument);
+    EXPECT_FALSE(ldlt.factorized());
+  }
+  ldlt.factorize(a, {5, 4, 3, 2, 1, 0});
+  EXPECT_TRUE(ldlt.factorized());
+}
+
 TEST(SparseLdlt, InverseEntriesMatchSolveBitForBit) {
-  for (const bool reorder : {true, false}) {
+  for (const bool shuffle : {false, true}) {
     for (const std::size_t n : {3u, 17u, 60u, 200u}) {
       const CsrMatrix a = random_spd(n, 500 + n);
+      std::vector<std::size_t> perm(n);
+      std::iota(perm.begin(), perm.end(), std::size_t{0});
+      if (shuffle) {
+        perm = shuffled_order(n, 700 + n);
+      }
       SparseLdlt ldlt;
-      LdltOptions options;
-      options.use_fill_reducing_ordering = reorder;
-      ldlt.factorize(a, options);
-      const std::vector<std::size_t>& perm = ldlt.permutation();
+      ldlt.factorize(a, shuffle ? perm : std::vector<std::size_t>{});
 
       // Unsorted rows holding the first and last permuted positions and a
       // duplicate; 41 rows (prime) leave a short last block for any block
@@ -148,18 +179,23 @@ TEST(SparseLdlt, InverseEntriesMatchSolveBitForBit) {
       for (std::size_t k = n; k-- > n / 2;) {
         high_cols.push_back(perm[k]);
       }
+      // Rows and columns all in the upper half, as the crossbar's
+      // boundary nodes are, so the scratch starts above position 0.
+      std::vector<std::size_t> high_rows(high_cols.rbegin(), high_cols.rend());
 
-      for (const auto* cols : {&all_cols, &high_cols}) {
-        const std::vector<double> block = ldlt.inverse_entries(rows, *cols);
-        ASSERT_EQ(block.size(), rows.size() * cols->size());
-        for (std::size_t j = 0; j < rows.size(); ++j) {
-          std::vector<double> e(n, 0.0);
-          e[rows[j]] = 1.0;
-          const std::vector<double> x = ldlt.solve(e);
-          for (std::size_t c = 0; c < cols->size(); ++c) {
-            EXPECT_EQ(block[j * cols->size() + c], x[(*cols)[c]])
-                << "n = " << n << (reorder ? " dissected" : " natural") << ", row " << rows[j]
-                << ", col " << (*cols)[c];
+      for (const auto* row_set : {&rows, &high_rows}) {
+        for (const auto* cols : {&all_cols, &high_cols}) {
+          const std::vector<double> block = ldlt.inverse_entries(*row_set, *cols);
+          ASSERT_EQ(block.size(), row_set->size() * cols->size());
+          for (std::size_t j = 0; j < row_set->size(); ++j) {
+            std::vector<double> e(n, 0.0);
+            e[(*row_set)[j]] = 1.0;
+            const std::vector<double> x = ldlt.solve(e);
+            for (std::size_t c = 0; c < cols->size(); ++c) {
+              EXPECT_EQ(block[j * cols->size() + c], x[(*cols)[c]])
+                  << "n = " << n << (shuffle ? " shuffled" : " natural") << ", row "
+                  << (*row_set)[j] << ", col " << (*cols)[c];
+            }
           }
         }
       }
@@ -184,68 +220,6 @@ TEST(SparseLdlt, ThrowsOnIndefinite) {
 TEST(SparseLdlt, SolveBeforeFactorizeThrows) {
   SparseLdlt ldlt;
   EXPECT_THROW(ldlt.solve({1.0}), InvalidArgument);
-}
-
-/// Two 100-node grids, a 100-node path and 120 isolated nodes, numbered
-/// so that no component is contiguous in the input order.
-CsrMatrix disconnected_pattern() {
-  const std::size_t side = 10;
-  const std::size_t n = 2 * side * side + 100 + 120;
-  const auto node = [&](std::size_t k) { return (37 * k) % n; };  // gcd(37, n) = 1
-  CooBuilder builder(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    builder.add(i, i, 1.0);
-  }
-  const auto link = [&](std::size_t a, std::size_t b) {
-    builder.add(node(a), node(b), -0.1);
-    builder.add(node(b), node(a), -0.1);
-  };
-  for (std::size_t g = 0; g < 2; ++g) {
-    const std::size_t base = g * side * side;
-    for (std::size_t r = 0; r < side; ++r) {
-      for (std::size_t c = 0; c < side; ++c) {
-        if (c + 1 < side) {
-          link(base + r * side + c, base + r * side + c + 1);
-        }
-        if (r + 1 < side) {
-          link(base + r * side + c, base + (r + 1) * side + c);
-        }
-      }
-    }
-  }
-  for (std::size_t k = 2 * side * side; k + 1 < 2 * side * side + 100; ++k) {
-    link(k, k + 1);
-  }
-  return builder.compress();
-}
-
-TEST(NestedDissection, IsAPermutation) {
-  CooBuilder one(1, 1);
-  one.add(0, 0, 2.0);
-  // Random networks large enough to be split several times, then the
-  // disconnected, empty and one-node patterns.
-  for (const CsrMatrix& a : {random_spd(80, 113), random_spd(300, 333), random_spd(1000, 1033),
-                             disconnected_pattern(), CooBuilder(0, 0).compress(), one.compress()}) {
-    const std::size_t n = a.rows();
-    SCOPED_TRACE(n);
-    const std::vector<std::size_t> perm = nested_dissection(a);
-    ASSERT_EQ(perm.size(), n);
-    std::vector<char> seen(n, 0);
-    for (const std::size_t p : perm) {
-      ASSERT_LT(p, n);
-      EXPECT_FALSE(seen[p]) << "node " << p << " appears twice";
-      seen[p] = 1;
-    }
-  }
-}
-
-TEST(NestedDissection, IsDeterministic) {
-  const CsrMatrix a = random_spd(1000, 34);
-  const std::vector<std::size_t> first = nested_dissection(a);
-  EXPECT_EQ(nested_dissection(a), first);
-  SparseLdlt ldlt;
-  ldlt.factorize(a);
-  EXPECT_EQ(ldlt.permutation(), first);
 }
 
 }  // namespace

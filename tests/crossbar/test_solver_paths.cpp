@@ -167,27 +167,89 @@ TEST(CrossbarSolverPaths, TransferBeforePrepareThrows) {
   EXPECT_NO_THROW(rcm.column_currents_transfer(inputs));
 }
 
+TEST(CrossbarSolverPaths, EliminationOrderPutsTheBoundaryLast) {
+  const std::size_t shapes[][2] = {{1, 1}, {1, 9}, {9, 1}, {8, 40}, {128, 40}, {64, 160}};
+  for (const auto& shape : shapes) {
+    const std::size_t rows = shape[0];
+    const std::size_t cols = shape[1];
+    SCOPED_TRACE(::testing::Message() << rows << "x" << cols);
+    // Every junction once: the network pins only the column terminations
+    // and the dummy bar, which come after the junctions.
+    const std::vector<RNode> order = crossbar_elimination_order(rows, cols);
+    ASSERT_EQ(order.size(), 2 * rows * cols);
+    std::vector<char> seen(order.size(), 0);
+    for (const RNode node : order) {
+      ASSERT_LT(node, order.size());
+      EXPECT_FALSE(seen[node]) << "node " << node << " appears twice";
+      seen[node] = 1;
+    }
+    // The row inputs (i, 0), then the column outputs (rows - 1, j).
+    const std::size_t tail = order.size() - rows - cols;
+    for (std::size_t i = 0; i < rows; ++i) {
+      EXPECT_EQ(order[tail + i], i * cols) << "row input " << i;
+    }
+    for (std::size_t j = 0; j < cols; ++j) {
+      EXPECT_EQ(order[tail + rows + j], (2 * rows - 1) * cols + j) << "column output " << j;
+    }
+
+    // The array factors its network in this order, which throws unless it
+    // lists each free node once, and the operator's pruned block solves
+    // agree with a full solve per input.
+    for (const bool dummy : {true, false}) {
+      RcmConfig config;
+      config.rows = rows;
+      config.cols = cols;
+      config.dummy_column = dummy;
+      RcmArray transfer(config, Rng(57));
+      RcmArray factored(config, Rng(57));
+      const auto columns = random_columns(rows, cols, 58);
+      transfer.program(columns);
+      factored.program(columns);
+      ASSERT_NO_THROW(transfer.prepare_parasitic()) << "dummy column " << dummy;
+      factored.set_parasitic_solver(CrossbarSolver::kFactored);
+      for (const std::size_t r : {std::size_t{0}, rows - 1}) {
+        std::vector<double> unit(rows, 0.0);
+        unit[r] = 1.0;
+        EXPECT_LT(relative_error(transfer.column_currents_transfer(unit),
+                                 factored.column_currents_parasitic(unit)),
+                  1e-12)
+            << "dummy column " << dummy << ", row " << r;
+      }
+    }
+  }
+}
+
 // %a captures of transfer-operator entries T[j][r] (8x40 array, Rng(53),
 // random_columns seed 54), taken with one full SparseLdlt::solve per
-// output column over the nested-dissection factor. Each is g_seg *
-// (A^-1 e_col_last_j) at row r's input node, summed in the back pass's
-// column-then-entry order; swapping the reciprocity direction (solving
-// from the inputs), scaling by 1/R instead of g_seg, or reordering the
-// back-pass sum rounds some of them differently. The columns span every
-// block of output columns for any solve block of 8 to 32 right-hand sides.
+// output column over the factor in crossbar_elimination_order(). Each is
+// g_seg * (A^-1 e_col_last_j) at row r's input node, summed in the back
+// pass's column-then-entry order; swapping the reciprocity direction
+// (solving from the inputs), scaling by 1/R instead of g_seg, or
+// reordering the back-pass sum rounds some of them differently. The
+// columns span every block of output columns for any solve block of 8 to
+// 32 right-hand sides.
 constexpr std::size_t kPinnedColumns[] = {0, 1, 9, 17, 23, 24, 32, 39};
 constexpr double kTransferFirstRow[] = {
+    0x1.e4703de1d5f52p-7, 0x1.ce64d1d4e83ep-8, 0x1.0eccf100bfa99p-5, 0x1.de71493664acep-7,
+    0x1.84296f178f433p-8, 0x1.e64f882ed7688p-7, 0x1.7e41b54d74348p-6, 0x1.262c82452d924p-5,
+};
+constexpr double kTransferLastRow[] = {
+    0x1.c90be9fe299e7p-6, 0x1.82702bd171b3ep-8, 0x1.330196226131fp-5, 0x1.d3972513e3436p-6,
+    0x1.16e6642bebd8p-5, 0x1.fdc28c0501943p-6, 0x1.6213e922a8d6dp-6, 0x1.1b01f6d46d5a8p-5,
+};
+// The same entries captured the same way over two earlier factors: a
+// nested dissection of the graph alone, and the banded (reverse
+// Cuthill-McKee) order before it. Another elimination order rounds
+// differently (here by at most 2.7e-12 relative), but the operator must
+// not move beyond rounding.
+constexpr double kTransferFirstRowDissected[] = {
     0x1.e4703de1da579p-7, 0x1.ce64d1d4ec6f8p-8, 0x1.0eccf100c226ap-5, 0x1.de7149366921ap-7,
     0x1.84296f1792e7ep-8, 0x1.e64f882edbf8ap-7, 0x1.7e41b54d77cf9p-6, 0x1.262c82453059fp-5,
 };
-constexpr double kTransferLastRow[] = {
+constexpr double kTransferLastRowDissected[] = {
     0x1.c90be9fe28597p-6, 0x1.82702bd170a0ap-8, 0x1.3301962260545p-5, 0x1.d3972513e1ee4p-6,
     0x1.16e6642beb0b5p-5, 0x1.fdc28c05001dp-6, 0x1.6213e922a7d06p-6, 0x1.1b01f6d46c885p-5,
 };
-// The same entries captured the same way over the earlier banded
-// (reverse Cuthill-McKee) factor. Another elimination order rounds
-// differently (here by at most 7.6e-13 relative), but the operator
-// must not move beyond rounding.
 constexpr double kTransferFirstRowBanded[] = {
     0x1.e4703de1db50dp-7, 0x1.ce64d1d4ed5c7p-8, 0x1.0eccf100c2b2cp-5, 0x1.de7149366a191p-7,
     0x1.84296f1793aeep-8, 0x1.e64f882edcf4cp-7, 0x1.7e41b54d78948p-6, 0x1.262c824530f1p-5,
@@ -200,6 +262,8 @@ constexpr double kTransferLastRowBanded[] = {
 TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
   static_assert(std::size(kTransferFirstRow) == std::size(kPinnedColumns) &&
                 std::size(kTransferLastRow) == std::size(kPinnedColumns) &&
+                std::size(kTransferFirstRowDissected) == std::size(kPinnedColumns) &&
+                std::size(kTransferLastRowDissected) == std::size(kPinnedColumns) &&
                 std::size(kTransferFirstRowBanded) == std::size(kPinnedColumns) &&
                 std::size(kTransferLastRowBanded) == std::size(kPinnedColumns));
   RcmConfig config;
@@ -220,6 +284,10 @@ TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
     const std::size_t j = kPinnedColumns[k];
     EXPECT_EQ(first[j], kTransferFirstRow[k]) << "row 0, column " << j;
     EXPECT_EQ(last[j], kTransferLastRow[k]) << "row " << config.rows - 1 << ", column " << j;
+    EXPECT_NEAR(first[j], kTransferFirstRowDissected[k], 1e-11 * kTransferFirstRowDissected[k])
+        << "row 0, column " << j;
+    EXPECT_NEAR(last[j], kTransferLastRowDissected[k], 1e-11 * kTransferLastRowDissected[k])
+        << "row " << config.rows - 1 << ", column " << j;
     EXPECT_NEAR(first[j], kTransferFirstRowBanded[k], 1e-11 * kTransferFirstRowBanded[k])
         << "row 0, column " << j;
     EXPECT_NEAR(last[j], kTransferLastRowBanded[k], 1e-11 * kTransferLastRowBanded[k])
