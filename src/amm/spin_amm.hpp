@@ -114,12 +114,12 @@ class SpinAmm : public AssociativeEngine {
   /// Batched recognition: results[i] corresponds to inputs[i], and is
   /// winner-for-winner identical to calling recognize() on each input in
   /// order. The batch flows through flat rows x batch buffers in chunks
-  /// of kMinItemsPerThread queries, each chunk a DAC -> blocked-GEMM ->
-  /// WTA -> assemble pipeline on one worker: when the crossbar path is
-  /// safely shareable (ideal model, or parasitic with the
-  /// transfer-operator solver) the crossbar stage is one cache-blocked
-  /// matrix product per chunk against the cached operator, and the WTA
-  /// stage always fans out because its thermal noise comes from
+  /// of kMinItemsPerThread queries, each chunk a DAC -> GEMM -> WTA ->
+  /// assemble pipeline on one worker: when the crossbar path is safely
+  /// shareable (ideal model, or parasitic with the transfer-operator
+  /// solver) the crossbar stage is one register-tiled matrix product
+  /// (gemm_operator_batch) per chunk against the cached operator, and the
+  /// WTA stage always fans out because its thermal noise comes from
   /// counter-based per-query streams (SpinSarWta::run_query_span) rather
   /// than one shared sequential draw order. threads == 0 picks hardware
   /// concurrency; last_batch_timing() reports the per-stage wall clock.

@@ -167,11 +167,72 @@ std::size_t argmin(const std::vector<double>& v) {
 
 namespace {
 
-// Register-tile size for gemm_operator_batch: 4 queries x 4 operator rows
-// gives 16 live accumulators plus 8 streamed operands, comfortably inside
-// the 16 callee-visible vector registers on x86-64 and well inside
-// aarch64's 32.
+// Register-tile extent of gemm_operator_batch: a full tile is 4 queries x
+// 4 operator rows, 16 accumulators. Without -march GCC packs them two to an
+// SSE2 register, so the 8 accumulator registers and the streamed operands
+// fit in x86-64's 16 vector registers; aarch64 has 32.
 constexpr std::size_t kGemmTile = 4;
+
+// One QN x JN tile: queries x[0 .. QN) against operator rows op[0 .. JN),
+// each row `rows` long, written to c with row stride `cols`. The extents are
+// template arguments so the accumulators stay in registers and every inner
+// loop unrolls. The loop over r stays outermost and sequential: every
+// accumulator sees its offset, then r = 0, 1, ... in order -- the addition
+// sequence of the scalar matvec.
+template <std::size_t QN, std::size_t JN>
+void gemm_tile(const double* op, const double* offset, const double* x, std::size_t rows,
+               std::size_t cols, double* c) {
+  double acc[QN][JN];
+  for (std::size_t qi = 0; qi < QN; ++qi) {
+    for (std::size_t ji = 0; ji < JN; ++ji) {
+      acc[qi][ji] = offset != nullptr ? offset[ji] : 0.0;
+    }
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    double a_jr[JN];
+    for (std::size_t ji = 0; ji < JN; ++ji) {
+      a_jr[ji] = op[ji * rows + r];
+    }
+    for (std::size_t qi = 0; qi < QN; ++qi) {
+      const double x_qr = x[qi * rows + r];
+      for (std::size_t ji = 0; ji < JN; ++ji) {
+        acc[qi][ji] += a_jr[ji] * x_qr;
+      }
+    }
+  }
+  for (std::size_t qi = 0; qi < QN; ++qi) {
+    for (std::size_t ji = 0; ji < JN; ++ji) {
+      c[qi * cols + ji] = acc[qi][ji];
+    }
+  }
+}
+
+// QN queries against the whole operator: full 4-row tiles, then one tile of
+// the cols % 4 remaining rows.
+template <std::size_t QN>
+void gemm_queries(const double* op, const double* offset, const double* x, std::size_t rows,
+                  std::size_t cols, double* c) {
+  const std::size_t full = cols - cols % kGemmTile;
+  for (std::size_t j0 = 0; j0 < full; j0 += kGemmTile) {
+    gemm_tile<QN, kGemmTile>(op + j0 * rows, offset != nullptr ? offset + j0 : nullptr, x, rows,
+                             cols, c + j0);
+  }
+  const double* op_tail = op + full * rows;
+  const double* offset_tail = offset != nullptr ? offset + full : nullptr;
+  switch (cols % kGemmTile) {
+    case 1:
+      gemm_tile<QN, 1>(op_tail, offset_tail, x, rows, cols, c + full);
+      break;
+    case 2:
+      gemm_tile<QN, 2>(op_tail, offset_tail, x, rows, cols, c + full);
+      break;
+    case 3:
+      gemm_tile<QN, 3>(op_tail, offset_tail, x, rows, cols, c + full);
+      break;
+    default:
+      break;
+  }
+}
 
 }  // namespace
 
@@ -180,37 +241,24 @@ void gemm_operator_batch(const double* op, const double* offset, const double* x
   if (batch == 0 || cols == 0) {
     return;
   }
-  for (std::size_t q0 = 0; q0 < batch; q0 += kGemmTile) {
-    const std::size_t qn = std::min(kGemmTile, batch - q0);
-    for (std::size_t j0 = 0; j0 < cols; j0 += kGemmTile) {
-      const std::size_t jn = std::min(kGemmTile, cols - j0);
-      double acc[kGemmTile][kGemmTile];
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        for (std::size_t ji = 0; ji < jn; ++ji) {
-          acc[qi][ji] = offset != nullptr ? offset[j0 + ji] : 0.0;
-        }
-      }
-      // The k-loop (over r) stays outermost within the tile and strictly
-      // sequential: every accumulator sees offset, then r = 0, 1, ... in
-      // order — the exact addition sequence of the scalar matvec.
-      for (std::size_t r = 0; r < rows; ++r) {
-        double a_jr[kGemmTile];
-        for (std::size_t ji = 0; ji < jn; ++ji) {
-          a_jr[ji] = op[(j0 + ji) * rows + r];
-        }
-        for (std::size_t qi = 0; qi < qn; ++qi) {
-          const double x_qr = x[(q0 + qi) * rows + r];
-          for (std::size_t ji = 0; ji < jn; ++ji) {
-            acc[qi][ji] += a_jr[ji] * x_qr;
-          }
-        }
-      }
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        for (std::size_t ji = 0; ji < jn; ++ji) {
-          c[(q0 + qi) * cols + (j0 + ji)] = acc[qi][ji];
-        }
-      }
-    }
+  const std::size_t full = batch - batch % kGemmTile;
+  for (std::size_t q0 = 0; q0 < full; q0 += kGemmTile) {
+    gemm_queries<kGemmTile>(op, offset, x + q0 * rows, rows, cols, c + q0 * cols);
+  }
+  const double* x_tail = x + full * rows;
+  double* c_tail = c + full * cols;
+  switch (batch % kGemmTile) {
+    case 1:
+      gemm_queries<1>(op, offset, x_tail, rows, cols, c_tail);
+      break;
+    case 2:
+      gemm_queries<2>(op, offset, x_tail, rows, cols, c_tail);
+      break;
+    case 3:
+      gemm_queries<3>(op, offset, x_tail, rows, cols, c_tail);
+      break;
+    default:
+      break;
   }
 }
 

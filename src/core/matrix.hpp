@@ -108,13 +108,16 @@ std::size_t argmin(const std::vector<double>& v);
 /// holds `batch` output vectors of length `cols`. `offset` may be null
 /// (treated as all zeros).
 ///
-/// Register-blocked over (q, j) tiles so each operator row and each input
-/// vector is streamed once per tile, but the reduction over r is kept
-/// strictly sequential per (q, j) accumulator — the result is
-/// bit-identical to the naive per-query loop
+/// Runs over register tiles of up to 4 queries x 4 operator rows, each with
+/// compile-time extents: the full 4 x 4 tile and every remainder shape down
+/// to 1 x 1, picked by batch % 4 and cols % 4, so a tile's accumulators stay
+/// in registers. Each operator row and input vector is streamed once per
+/// tile, but the reduction over r is kept strictly sequential per (q, j)
+/// accumulator — the result is bit-identical to the naive per-query loop
 /// `acc = offset[j]; for r: acc += op[j][r] * x[q][r]`, which is what
 /// lets batched recognition reproduce the sequential recognize() path
-/// exactly (no floating-point reassociation).
+/// exactly (no floating-point reassociation). A batch of 1 is the plain
+/// matvec.
 void gemm_operator_batch(const double* op, const double* offset, const double* x,
                          std::size_t rows, std::size_t cols, std::size_t batch, double* c);
 

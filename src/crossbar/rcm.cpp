@@ -452,16 +452,9 @@ std::vector<double> RcmArray::column_currents_transfer(const std::vector<double>
           "RcmArray::column_currents_transfer: need one input current per row");
   require(transfer_ready(v_bias),
           "RcmArray::column_currents_transfer: call prepare_parasitic() first");
-  const std::size_t rows = config_.rows;
   std::vector<double> out(config_.cols, 0.0);
-  for (std::size_t j = 0; j < config_.cols; ++j) {
-    const double* t_row = &transfer_[j * rows];
-    double acc = transfer_offset_[j];
-    for (std::size_t r = 0; r < rows; ++r) {
-      acc += t_row[r] * input_currents[r];
-    }
-    out[j] = acc;
-  }
+  gemm_operator_batch(transfer_.data(), transfer_offset_.data(), input_currents.data(),
+                      config_.rows, config_.cols, 1, out.data());
   return out;
 }
 

@@ -166,11 +166,11 @@ class RcmArray {
 
   /// Batched ideal evaluation: `inputs` holds `batch` per-row input
   /// current vectors back to back (batch x rows), `out` receives batch x
-  /// cols column currents. One cache-blocked GEMM against the cached
-  /// ideal operator; each query's result is bit-identical to
-  /// column_currents_ideal() on the same inputs. Requires ideal_ready();
-  /// const and thread-safe (callers may partition the batch across
-  /// threads via pointer offsets).
+  /// cols column currents. One register-tiled GEMM (gemm_operator_batch)
+  /// against the cached ideal operator; each query's result is
+  /// bit-identical to column_currents_ideal() on the same inputs. Requires
+  /// ideal_ready(); const and thread-safe (callers may partition the batch
+  /// across threads via pointer offsets).
   void column_currents_ideal_batch(const double* inputs, std::size_t batch, double* out) const;
 
   /// Selects the parasitic evaluation algorithm. All three paths agree to
@@ -201,17 +201,18 @@ class RcmArray {
   /// the cache since).
   bool transfer_ready(double v_bias = 0.0) const;
 
-  /// Applies the cached transfer operator: out = I0 + T * in. Requires
-  /// transfer_ready(v_bias); const and thread-safe.
+  /// Applies the cached transfer operator: out = I0 + T * in, as
+  /// gemm_operator_batch with a batch of 1. Requires transfer_ready(v_bias);
+  /// const and thread-safe.
   std::vector<double> column_currents_transfer(const std::vector<double>& input_currents,
                                                double v_bias = 0.0) const;
 
   /// Batched transfer evaluation: `inputs` holds `batch` per-row input
   /// current vectors back to back (batch x rows), `out` receives batch x
-  /// cols column currents. One cache-blocked GEMM against the cached
-  /// transfer operator; each query's result is bit-identical to
-  /// column_currents_transfer() on the same inputs. Requires
-  /// transfer_ready(v_bias); const and thread-safe.
+  /// cols column currents. One register-tiled GEMM (gemm_operator_batch)
+  /// against the cached transfer operator; each query's result is
+  /// bit-identical to column_currents_transfer() on the same inputs.
+  /// Requires transfer_ready(v_bias); const and thread-safe.
   void column_currents_transfer_batch(const double* inputs, std::size_t batch, double* out,
                                       double v_bias = 0.0) const;
 

@@ -29,7 +29,8 @@ std::vector<FeatureVector> all_inputs(const SpinAmmConfig& c) {
 }
 
 /// Batch results must be winner-for-winner identical to sequential
-/// recognize() calls on a twin AMM (same seed => same mismatch samples).
+/// recognize() calls on a twin AMM (same seed => same mismatch samples),
+/// with bit-identical column currents.
 void expect_batch_matches_sequential(SpinAmmConfig config, std::size_t threads) {
   const std::vector<FeatureVector> inputs = all_inputs(config);
   SpinAmm sequential(config);
@@ -57,7 +58,7 @@ void expect_batch_matches_sequential(SpinAmmConfig config, std::size_t threads) 
     const auto& exp_currents = expected[i].spin()->column_currents;
     ASSERT_EQ(got_currents.size(), exp_currents.size());
     for (std::size_t j = 0; j < got_currents.size(); ++j) {
-      EXPECT_DOUBLE_EQ(got_currents[j], exp_currents[j]) << "input " << i << " column " << j;
+      EXPECT_EQ(got_currents[j], exp_currents[j]) << "input " << i << " column " << j;
     }
   }
 }

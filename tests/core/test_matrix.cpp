@@ -239,15 +239,34 @@ TEST_P(GemmOperatorBatch, BitIdenticalToNaiveReference) {
   }
 }
 
-// Tile-remainder coverage: sizes straddling the 4-wide register tile in
-// every dimension (exact multiples, one under, one over, and tiny).
+// (rows, cols, batch), each commented with its (batch % 4, cols % 4). The
+// kernel picks a fixed-extent tile by batch % 4 and cols % 4, so the shapes
+// cover all 16 pairs, with and without full tiles beside the remainder,
+// plus the shapes the workloads run: a spin-bulk shard chunk
+// (64 x 80 x 16), a leaf-churn router batch (128 x 16 x 16), its leaf
+// groups (128 x 5 x 1 and x 2) and a tier-1 call (128 x 20 x 2). Every
+// shape runs with and without an offset.
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmOperatorBatch,
-                         ::testing::Values(std::make_tuple(128, 40, 16),
-                                           std::make_tuple(8, 8, 8),
-                                           std::make_tuple(7, 5, 3),
-                                           std::make_tuple(9, 4, 5),
-                                           std::make_tuple(1, 1, 1),
-                                           std::make_tuple(16, 3, 17)));
+                         ::testing::Values(std::make_tuple(128, 40, 16),  // (0, 0)
+                                           std::make_tuple(8, 8, 8),      // (0, 0)
+                                           std::make_tuple(7, 5, 3),      // (3, 1)
+                                           std::make_tuple(9, 4, 5),      // (1, 0)
+                                           std::make_tuple(1, 1, 1),      // (1, 1)
+                                           std::make_tuple(16, 3, 17),    // (1, 3)
+                                           std::make_tuple(5, 9, 4),      // (0, 1)
+                                           std::make_tuple(3, 6, 8),      // (0, 2)
+                                           std::make_tuple(11, 7, 12),    // (0, 3)
+                                           std::make_tuple(6, 2, 1),      // (1, 2)
+                                           std::make_tuple(13, 10, 6),    // (2, 2)
+                                           std::make_tuple(10, 11, 2),    // (2, 3)
+                                           std::make_tuple(2, 12, 7),     // (3, 0)
+                                           std::make_tuple(33, 6, 3),     // (3, 2)
+                                           std::make_tuple(17, 15, 11),   // (3, 3)
+                                           std::make_tuple(64, 80, 16),   // (0, 0)
+                                           std::make_tuple(128, 16, 16),  // (0, 0)
+                                           std::make_tuple(128, 5, 1),    // (1, 1)
+                                           std::make_tuple(128, 5, 2),    // (2, 1)
+                                           std::make_tuple(128, 20, 2))); // (2, 0)
 
 TEST(GemmOperatorBatchEdge, ZeroBatchAndZeroColsAreNoOps) {
   const double op[4] = {1.0, 2.0, 3.0, 4.0};
