@@ -18,7 +18,11 @@
 /// FakeClock is thread-safe (an atomic tick counter), so a test may
 /// advance time while service worker threads read it. Note the limits of
 /// the seam: condition-variable *timed waits* still run on the real
-/// clock — a FakeClock cannot wake a `wait_for` early — so tests that
+/// clock — a FakeClock cannot wake a `wait_for` early. A wait whose
+/// predicate re-reads the clock, as the service's admission window does,
+/// ends at the first wake-up (a notify, such as the next submit) after
+/// an advance past its deadline; until one comes it sleeps out the
+/// real-time remainder it computed when it began. Otherwise tests that
 /// use a FakeClock drive code paths that compare time points
 /// (deadlines, breaker cooldowns), not ones that sleep.
 

@@ -5,6 +5,10 @@
 #include <limits>
 #include <utility>
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include "amm/fault_injection.hpp"
 #include "core/error.hpp"
 
@@ -56,6 +60,8 @@ RecognitionService::RecognitionService(const RecognitionServiceConfig& config,
   require(config_.shards >= 1, "RecognitionService: need at least one shard");
   require(config_.max_batch >= 1, "RecognitionService: max_batch must be positive");
   require(static_cast<bool>(factory_), "RecognitionService: empty engine factory");
+  require(config_.admission_window.count() >= 0,
+          "RecognitionService: admission_window cannot be negative");
   require(config_.shard_timeout.count() >= 0,
           "RecognitionService: shard_timeout cannot be negative");
   require(config_.breaker_failure_threshold >= 1,
@@ -488,6 +494,12 @@ void RecognitionService::fail_stopped(std::vector<Request>& doomed) {
 }
 
 void RecognitionService::collector_loop() {
+#ifdef __linux__
+  // The admission window is a timed wait of a few hundred microseconds,
+  // which the kernel's default 50 us timer slack may end up to 50 us
+  // late. 1 ns slack, for this thread only, ends it on time.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   // The streaming pipeline: at most two batches are in flight (the one
   // being served plus one double-buffered successor). Per-shard answers
   // fold into the running merge as they land in completions_; batches
@@ -547,12 +559,17 @@ void RecognitionService::collector_loop() {
       }
       if (!stopping && room && !queue_.empty()) {
         if (queue_.size() < config_.max_batch && config_.admission_window.count() > 0) {
-          // Admission window: from the moment work is pending, wait a
-          // bounded extra beat for more arrivals so they share one
-          // dispatch. With a batch in flight the wait overlaps its
-          // compute — workers drain their own job queues meanwhile.
-          queue_cv_.wait_for(lock, config_.admission_window, [&]() SPINSIM_NO_TSA {
-            return stopping_ || queue_.size() >= config_.max_batch;
+          // Admission window: wait for more arrivals to share this
+          // dispatch until admission_window after the oldest pending
+          // query was enqueued (not after the collector noticed it), so
+          // that query waits the window and no longer. The predicate
+          // re-reads the injected clock, so a FakeClock advance past the
+          // close takes effect at the next wake-up. With a batch in
+          // flight the wait overlaps its compute — workers drain their
+          // own job queues meanwhile.
+          const Clock::TimePoint close = queue_.front().enqueued + config_.admission_window;
+          queue_cv_.wait_for(lock, close - clock_->now(), [&]() SPINSIM_NO_TSA {
+            return stopping_ || queue_.size() >= config_.max_batch || clock_->now() >= close;
           });
           stopping = stopping_;
         }

@@ -122,8 +122,16 @@ struct RecognitionServiceConfig {
   std::size_t shards = 2;
   /// Admission window: max queries one dispatch may coalesce.
   std::size_t max_batch = 64;
-  /// Admission window: how long the collector waits (from the first
-  /// pending query) for more arrivals before dispatching a short batch.
+  /// Admission window: how long the collector waits for more arrivals
+  /// before dispatching a short batch, timed from the oldest pending
+  /// query's enqueue stamp on `clock`. A query that already waited this
+  /// long (say, behind a busy pipeline) goes out in the next batch
+  /// formed. The wait re-reads `clock` whenever the collector wakes, so
+  /// a FakeClock advance past the close takes effect at the next wake-up
+  /// (such as the next submit). The collector thread runs with 1 ns timer
+  /// slack on Linux, so the window closes on time instead of up to the
+  /// kernel's default 50 us late. Must not be negative; 0 dispatches at
+  /// once.
   std::chrono::microseconds admission_window{200};
   /// Threads each shard engine's recognize_batch may use internally.
   std::size_t engine_threads = 1;

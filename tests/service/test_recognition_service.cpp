@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
@@ -13,6 +14,7 @@
 #include "amm/hierarchical_amm.hpp"
 #include "amm/leaf_cache_engine.hpp"
 #include "amm/spin_amm.hpp"
+#include "core/clock.hpp"
 #include "service/recognition_service.hpp"
 #include "support/shared_dataset.hpp"
 
@@ -174,6 +176,36 @@ TEST(RecognitionService, AdmissionWindowCoalescesBatchSubmissions) {
   // All queries of one submit_batch share an enqueue stamp, so mean and
   // max coincide up to floating-point summation error.
   EXPECT_GE(stats.max_latency_us, 0.999 * stats.mean_latency_us);
+}
+
+TEST(RecognitionService, AdmissionWindowClosesAfterTheOldestEnqueueStamp) {
+  // The window runs from the first query's enqueue stamp on the injected
+  // clock. Once the FakeClock has passed its close, the collector's next
+  // wake-up (the second submit) dispatches — it must not sleep out the
+  // 30 s window in real time.
+  const auto templates = build_templates(testing::small_dataset(), small_spec());
+  const auto inputs = all_inputs();
+  auto clock = std::make_shared<FakeClock>();
+
+  RecognitionServiceConfig config;
+  config.shards = 2;
+  config.max_batch = 64;
+  config.admission_window = std::chrono::seconds(30);
+  config.clock = clock;
+  RecognitionService service(config, digital_factory());
+  service.store_templates(templates);
+
+  auto first = service.submit(inputs[0]);
+  clock->advance(config.admission_window);
+  auto second = service.submit(inputs[1]);
+  ASSERT_EQ(first.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  EXPECT_NO_THROW(first.get());
+}
+
+TEST(RecognitionService, NegativeAdmissionWindowThrows) {
+  RecognitionServiceConfig config;
+  config.admission_window = std::chrono::microseconds(-1);
+  EXPECT_THROW(RecognitionService(config, digital_factory()), InvalidArgument);
 }
 
 TEST(RecognitionService, MaxBatchSplitsLargeSubmissions) {
