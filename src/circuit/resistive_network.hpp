@@ -4,9 +4,13 @@
 /// Compared to the general MNA, ideal voltage sources are handled as
 /// *Dirichlet nodes*: their voltage is known, so they are eliminated from
 /// the unknown set. What remains is a symmetric positive-definite
-/// conductance system solved by Jacobi-preconditioned CG. The 128x40
-/// crossbar (10k+ unknowns) solves in milliseconds, and consecutive solves
-/// of the same topology warm-start from the previous operating point.
+/// conductance system. The parasitic crossbar factors it once as sparse
+/// LDL^T, in the elimination order it supplies, and reads its whole
+/// transfer operator from that factor through influence(); one factored
+/// solve gives the operator's offset. Jacobi-preconditioned CG (the
+/// kCg strategy) stays as the iterative reference path, and its
+/// consecutive solves of one topology warm-start from the previous
+/// operating point.
 
 #pragma once
 

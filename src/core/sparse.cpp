@@ -58,40 +58,50 @@ void CooBuilder::add(std::size_t r, std::size_t c, double value) {
 }
 
 CsrMatrix CooBuilder::compress() const {
-  // Sort triplets by (row, col) via an index permutation, then merge
-  // duplicates while emitting CSR arrays.
-  std::vector<std::size_t> order(v_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    if (r_[a] != r_[b]) {
-      return r_[a] < r_[b];
+  // Two stable counting sorts: the stamps by column, then that order by
+  // row. Walked in column order, a row meets its columns in ascending
+  // order and each entry's stamps back to back, in insertion order, so
+  // the row pass sums an entry's stamps left to right as it places them.
+  const std::size_t nnz = v_.size();
+  std::vector<std::size_t> by_col(nnz);
+  {
+    std::vector<std::size_t> next(cols_ + 1, 0);
+    for (const std::size_t c : c_) {
+      ++next[c + 1];
     }
-    return c_[a] < c_[b];
-  });
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (std::size_t k = 0; k < nnz; ++k) {
+      by_col[next[c_[k]]++] = k;
+    }
+  }
 
   CsrMatrix out;
   out.cols_ = cols_;
   out.row_ptr_.assign(rows_ + 1, 0);
-  out.col_idx_.reserve(v_.size());
-  out.values_.reserve(v_.size());
-
-  std::size_t current_row = 0;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const std::size_t k = order[i];
-    while (current_row < r_[k]) {
-      out.row_ptr_[++current_row] = out.values_.size();
-    }
-    const bool row_has_entries = out.values_.size() > out.row_ptr_[current_row];
-    if (row_has_entries && out.col_idx_.back() == c_[k]) {
-      // Same (row, col) as the previous emitted entry: accumulate the stamp.
-      out.values_.back() += v_[k];
-    } else {
-      out.col_idx_.push_back(c_[k]);
-      out.values_.push_back(v_[k]);
+  {
+    // A row gains an entry wherever its column changes.
+    std::vector<std::size_t> last_col(rows_, cols_);
+    for (const std::size_t k : by_col) {
+      if (last_col[r_[k]] != c_[k]) {
+        last_col[r_[k]] = c_[k];
+        ++out.row_ptr_[r_[k] + 1];
+      }
     }
   }
-  while (current_row < rows_) {
-    out.row_ptr_[++current_row] = out.values_.size();
+  std::partial_sum(out.row_ptr_.begin(), out.row_ptr_.end(), out.row_ptr_.begin());
+  out.col_idx_.resize(out.row_ptr_[rows_]);
+  out.values_.resize(out.row_ptr_[rows_]);
+  std::vector<std::size_t> next(out.row_ptr_.begin(), out.row_ptr_.end() - 1);
+  for (const std::size_t k : by_col) {
+    const std::size_t r = r_[k];
+    const std::size_t p = next[r];
+    if (p > out.row_ptr_[r] && out.col_idx_[p - 1] == c_[k]) {
+      out.values_[p - 1] += v_[k];
+    } else {
+      out.col_idx_[p] = c_[k];
+      out.values_[p] = v_[k];
+      next[r] = p + 1;
+    }
   }
   return out;
 }

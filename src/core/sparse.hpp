@@ -4,7 +4,8 @@
 /// The parasitic crossbar model produces symmetric positive-definite
 /// conductance matrices with ~10k unknowns and a handful of nonzeros per
 /// row. A COO triplet builder accumulates stamps; compress() produces an
-/// immutable CSR matrix consumed by the iterative solver.
+/// immutable CSR matrix, which the sparse LDL^T factor (SparseLdlt) and
+/// the conjugate-gradient solver both consume.
 
 #pragma once
 
@@ -49,7 +50,9 @@ class CsrMatrix {
 };
 
 /// Accumulating triplet (COO) builder. Duplicate (r, c) entries are summed
-/// on compress(), which matches circuit-stamping semantics.
+/// on compress(), which matches circuit-stamping semantics. compress()
+/// runs in O(nnz + rows + cols) time and memory, worst case included, and
+/// sums the stamps of one entry in insertion order, left to right.
 class CooBuilder {
  public:
   CooBuilder(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols) {}

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "core/cg.hpp"
 #include "core/lu.hpp"
 #include "core/random.hpp"
@@ -49,6 +54,98 @@ TEST(CooBuilder, OutOfOrderInsertion) {
   EXPECT_DOUBLE_EQ(m.at(2, 0), 5.0);
   EXPECT_DOUBLE_EQ(m.at(0, 2), 1.0);
   EXPECT_DOUBLE_EQ(m.at(1, 1), 2.0);
+}
+
+TEST(CooBuilder, DuplicatesSumLeftToRightInInsertionOrder) {
+  // 24 stamps of (3, 5) whose floating-point sum depends on the order they
+  // are added in, one every 160 of ~4000 stamps of other entries (about
+  // 500 of them in row 3 or column 5).
+  const double pattern[] = {1e16, 1.0, -1e16, 1.0, 3.0, 1e16, -1.0, 0.5, -1e16, 2.5, 1e-3, -7.0};
+  std::vector<double> stamps;
+  for (int round = 0; round < 2; ++round) {
+    for (const double v : pattern) {
+      stamps.push_back(round == 0 ? v : -0.75 * v);
+    }
+  }
+  double left_to_right = 0.0;
+  for (const double v : stamps) {
+    left_to_right += v;
+  }
+  double right_to_left = 0.0;
+  for (auto it = stamps.rbegin(); it != stamps.rend(); ++it) {
+    right_to_left += *it;
+  }
+  ASSERT_NE(left_to_right, right_to_left) << "the stamps' sum must depend on their order";
+
+  Rng rng(17);
+  CooBuilder b(16, 16);
+  std::size_t next = 0;
+  for (std::size_t k = 0; k < 4000; ++k) {
+    if (k % 160 == 80 && next < stamps.size()) {
+      b.add(3, 5, stamps[next++]);
+    }
+    const auto r = static_cast<std::size_t>(rng.uniform_int(0, 15));
+    auto c = static_cast<std::size_t>(rng.uniform_int(0, 15));
+    if (r == 3 && c == 5) {
+      c = 6;
+    }
+    b.add(r, c, rng.uniform(-1.0, 1.0));
+  }
+  ASSERT_EQ(next, stamps.size());
+  EXPECT_EQ(b.compress().at(3, 5), left_to_right);
+}
+
+TEST(CooBuilder, LongRowInsertedInDescendingColumnOrder) {
+  // Row 2 holds 2048 entries inserted from the last column down, each
+  // stamped twice; rows 0 and 4 stay empty.
+  const std::size_t cols = 4096;
+  CooBuilder b(5, cols);
+  for (std::size_t c = cols; c-- > 0;) {
+    if (c % 2 == 1) {
+      b.add(2, c, static_cast<double>(c));
+      b.add(2, c, 0.25);
+    }
+  }
+  b.add(1, 7, 1.0);
+  b.add(3, 0, -1.0);
+  const CsrMatrix m = b.compress();
+  ASSERT_EQ(m.row_ptr(), (std::vector<std::size_t>{0, 0, 1, 2049, 2050, 2050}));
+  for (std::size_t k = 0; k < 2048; ++k) {
+    const std::size_t p = m.row_ptr()[2] + k;
+    EXPECT_EQ(m.col_idx()[p], 2 * k + 1) << "entry " << k << " of row 2";
+    EXPECT_EQ(m.values()[p], static_cast<double>(2 * k + 1) + 0.25) << "entry " << k << " of row 2";
+  }
+  EXPECT_EQ(m.at(1, 7), 1.0);
+  EXPECT_EQ(m.at(3, 0), -1.0);
+}
+
+TEST(CooBuilder, RandomStampsMatchAnInsertionOrderReference) {
+  // ~10k stamps over 40 x 30 entries (about 8 per entry), with magnitudes
+  // spread over 16 decades so that any other summation order rounds some
+  // entries differently.
+  Rng rng(2024);
+  const std::size_t rows = 40;
+  const std::size_t cols = 30;
+  CooBuilder b(rows, cols);
+  std::map<std::pair<std::size_t, std::size_t>, double> reference;
+  for (int k = 0; k < 10000; ++k) {
+    const auto r = static_cast<std::size_t>(rng.uniform_int(0, rows - 1));
+    const auto c = static_cast<std::size_t>(rng.uniform_int(0, cols - 1));
+    const double v =
+        rng.uniform(-1.0, 1.0) * std::pow(10.0, static_cast<double>(rng.uniform_int(-8, 8)));
+    b.add(r, c, v);
+    reference[{r, c}] += v;
+  }
+  const CsrMatrix m = b.compress();
+  ASSERT_EQ(m.rows(), rows);
+  ASSERT_EQ(m.nnz(), reference.size());
+  auto it = reference.begin();
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t p = m.row_ptr()[r]; p < m.row_ptr()[r + 1]; ++p, ++it) {
+      ASSERT_EQ(std::make_pair(r, m.col_idx()[p]), it->first);
+      EXPECT_EQ(m.values()[p], it->second) << "entry (" << r << ", " << m.col_idx()[p] << ")";
+    }
+  }
 }
 
 TEST(CsrMatrix, EmptyRows) {

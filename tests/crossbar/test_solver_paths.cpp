@@ -221,27 +221,38 @@ TEST(CrossbarSolverPaths, EliminationOrderPutsTheBoundaryLast) {
 
 // %a captures of transfer-operator entries T[j][r] (8x40 array, Rng(53),
 // random_columns seed 54), taken with one full SparseLdlt::solve per
-// output column over the factor in crossbar_elimination_order(). Each is
-// g_seg * (A^-1 e_col_last_j) at row r's input node, summed in the back
-// pass's column-then-entry order; swapping the reciprocity direction
-// (solving from the inputs), scaling by 1/R instead of g_seg, or
-// reordering the back-pass sum rounds some of them differently. The
-// columns span every block of output columns for any solve block of 8 to
-// 32 right-hand sides.
+// output column over the factor in crossbar_elimination_order(), of the
+// reduced system CooBuilder::compress assembles by summing each entry's
+// stamps in insertion order. Each is g_seg * (A^-1 e_col_last_j) at row
+// r's input node, summed in the back pass's column-then-entry order;
+// swapping the reciprocity direction (solving from the inputs), scaling
+// by 1/R instead of g_seg, reordering the back-pass sum or summing the
+// stamps in another order rounds some of them differently. The columns
+// span every block of output columns for any solve block of 8 to 32
+// right-hand sides.
 constexpr std::size_t kPinnedColumns[] = {0, 1, 9, 17, 23, 24, 32, 39};
 constexpr double kTransferFirstRow[] = {
+    0x1.e4703de1d6d1bp-7, 0x1.ce64d1d4e90f5p-8, 0x1.0eccf100c0257p-5, 0x1.de714936658d6p-7,
+    0x1.84296f178ffaep-8, 0x1.e64f882ed85p-7, 0x1.7e41b54d74e95p-6, 0x1.262c82452e1d2p-5,
+};
+constexpr double kTransferLastRow[] = {
+    0x1.c90be9fe299dcp-6, 0x1.82702bd171b2fp-8, 0x1.330196226130ap-5, 0x1.d3972513e3418p-6,
+    0x1.16e6642bebd6ep-5, 0x1.fdc28c050192p-6, 0x1.6213e922a8d55p-6, 0x1.1b01f6d46d592p-5,
+};
+// The same entries captured the same way over three earlier systems: the
+// same factor with the stamps summed in comparison-sort order, a nested
+// dissection of the graph alone, and the banded (reverse Cuthill-McKee)
+// order before it. Another summation or elimination order rounds
+// differently (here by at most 2.3e-12 relative), but the operator must
+// not move beyond rounding.
+constexpr double kTransferFirstRowSortSummed[] = {
     0x1.e4703de1d5f52p-7, 0x1.ce64d1d4e83ep-8, 0x1.0eccf100bfa99p-5, 0x1.de71493664acep-7,
     0x1.84296f178f433p-8, 0x1.e64f882ed7688p-7, 0x1.7e41b54d74348p-6, 0x1.262c82452d924p-5,
 };
-constexpr double kTransferLastRow[] = {
+constexpr double kTransferLastRowSortSummed[] = {
     0x1.c90be9fe299e7p-6, 0x1.82702bd171b3ep-8, 0x1.330196226131fp-5, 0x1.d3972513e3436p-6,
     0x1.16e6642bebd8p-5, 0x1.fdc28c0501943p-6, 0x1.6213e922a8d6dp-6, 0x1.1b01f6d46d5a8p-5,
 };
-// The same entries captured the same way over two earlier factors: a
-// nested dissection of the graph alone, and the banded (reverse
-// Cuthill-McKee) order before it. Another elimination order rounds
-// differently (here by at most 2.7e-12 relative), but the operator must
-// not move beyond rounding.
 constexpr double kTransferFirstRowDissected[] = {
     0x1.e4703de1da579p-7, 0x1.ce64d1d4ec6f8p-8, 0x1.0eccf100c226ap-5, 0x1.de7149366921ap-7,
     0x1.84296f1792e7ep-8, 0x1.e64f882edbf8ap-7, 0x1.7e41b54d77cf9p-6, 0x1.262c82453059fp-5,
@@ -262,6 +273,8 @@ constexpr double kTransferLastRowBanded[] = {
 TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
   static_assert(std::size(kTransferFirstRow) == std::size(kPinnedColumns) &&
                 std::size(kTransferLastRow) == std::size(kPinnedColumns) &&
+                std::size(kTransferFirstRowSortSummed) == std::size(kPinnedColumns) &&
+                std::size(kTransferLastRowSortSummed) == std::size(kPinnedColumns) &&
                 std::size(kTransferFirstRowDissected) == std::size(kPinnedColumns) &&
                 std::size(kTransferLastRowDissected) == std::size(kPinnedColumns) &&
                 std::size(kTransferFirstRowBanded) == std::size(kPinnedColumns) &&
@@ -284,6 +297,10 @@ TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
     const std::size_t j = kPinnedColumns[k];
     EXPECT_EQ(first[j], kTransferFirstRow[k]) << "row 0, column " << j;
     EXPECT_EQ(last[j], kTransferLastRow[k]) << "row " << config.rows - 1 << ", column " << j;
+    EXPECT_NEAR(first[j], kTransferFirstRowSortSummed[k], 1e-11 * kTransferFirstRowSortSummed[k])
+        << "row 0, column " << j;
+    EXPECT_NEAR(last[j], kTransferLastRowSortSummed[k], 1e-11 * kTransferLastRowSortSummed[k])
+        << "row " << config.rows - 1 << ", column " << j;
     EXPECT_NEAR(first[j], kTransferFirstRowDissected[k], 1e-11 * kTransferFirstRowDissected[k])
         << "row 0, column " << j;
     EXPECT_NEAR(last[j], kTransferLastRowDissected[k], 1e-11 * kTransferLastRowDissected[k])
