@@ -1,14 +1,13 @@
 /// Library microbenchmarks (google-benchmark): throughput of the hot
 /// paths behind the experiment harnesses — crossbar evaluation (ideal and
-/// parasitic, across all three parasitic solvers), the LLG integrator,
-/// SAR conversion, and a full end-to-end recognition.
+/// parasitic transfer operator), the LLG integrator, SAR conversion, and
+/// a full end-to-end recognition.
 ///
-/// `--json [path]` switches to a self-timed recognition comparison that
-/// writes queries/sec for the CG, factored and transfer-operator paths
-/// (plus batched amortized throughput) to BENCH_recognition.json, then
-/// appends service-level rows (full-recognition queries/sec through a
-/// single engine's recognize_batch vs a sharded RecognitionService, at
-/// several batch sizes and thread counts), tier rows (flat spin vs
+/// `--json [path]` switches to self-timed rows written to
+/// BENCH_recognition.json: service-level rows (full-recognition
+/// queries/sec through a single engine's recognize_batch vs a sharded
+/// RecognitionService, at several batch sizes and thread counts) with
+/// their per-stage pipeline breakdown, tier rows (flat spin vs
 /// hierarchical vs tiered: accuracy, throughput, energy/query and the
 /// tiered escalation/reject rates on one face workload), leaf-cache
 /// rows (hit rate and reprogram-amortized energy/query vs pool size for
@@ -67,29 +66,21 @@ void BM_CrossbarIdeal128x40(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossbarIdeal128x40);
 
-void BM_CrossbarParasitic(benchmark::State& state, CrossbarSolver solver, std::size_t rows,
-                          std::size_t cols) {
+void BM_CrossbarParasitic(benchmark::State& state, std::size_t rows, std::size_t cols) {
   RcmConfig config;
   config.rows = rows;
   config.cols = cols;
   RcmArray rcm(config, Rng(3));
   rcm.program(random_columns(config.rows, config.cols, 4));
-  rcm.set_parasitic_solver(solver);
   std::vector<double> inputs(config.rows, 5e-6);
   Rng jitter(5);
   for (auto _ : state) {
-    // Slightly perturb the drive so the CG warm start works but the
-    // solve is not a no-op (exact paths are insensitive either way).
     inputs[0] = jitter.uniform(4e-6, 6e-6);
     benchmark::DoNotOptimize(rcm.column_currents_parasitic(inputs));
   }
 }
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Cg128x40, CrossbarSolver::kCg, 128, 40);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Factored128x40, CrossbarSolver::kFactored, 128, 40);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer128x40, CrossbarSolver::kTransfer, 128, 40);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Cg64x20, CrossbarSolver::kCg, 64, 20);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Factored64x20, CrossbarSolver::kFactored, 64, 20);
-BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer64x20, CrossbarSolver::kTransfer, 64, 20);
+BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer128x40, 128, 40);
+BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer64x20, 64, 20);
 
 void BM_LlgStep(benchmark::State& state) {
   DwmStripe stripe(DwmParams::paper_device());
@@ -198,52 +189,10 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct PathTiming {
-  double queries_per_sec = 0.0;
-  double ns_per_query = 0.0;
-};
-
-/// Times `queries` evaluations of column_currents_parasitic with the given
-/// solver on a fresh identically-programmed crossbar.
-PathTiming time_path(CrossbarSolver solver, std::size_t rows, std::size_t cols,
-                     std::size_t queries, bool include_setup) {
-  RcmConfig config;
-  config.rows = rows;
-  config.cols = cols;
-  RcmArray rcm(config, Rng(1));
-  rcm.program(random_columns(rows, cols, 2));
-  rcm.set_parasitic_solver(solver);
-
-  std::vector<std::vector<double>> inputs(queries, std::vector<double>(rows));
-  Rng rng(3);
-  for (auto& in : inputs) {
-    for (auto& v : in) {
-      v = rng.uniform(0.0, 10e-6);
-    }
-  }
-
-  if (!include_setup) {
-    (void)rcm.column_currents_parasitic(inputs[0]);  // build caches / warm start
-  }
-  double sink = 0.0;
-  const auto start = Clock::now();
-  for (const auto& in : inputs) {
-    sink += rcm.column_currents_parasitic(in)[0];
-  }
-  const double elapsed = seconds_since(start);
-  if (sink == 12345.0) {
-    std::printf("#");  // defeat dead-code elimination
-  }
-  PathTiming t;
-  t.queries_per_sec = static_cast<double>(queries) / elapsed;
-  t.ns_per_query = 1e9 * elapsed / static_cast<double>(queries);
-  return t;
-}
-
 // --------------------------------------------------------------------------
 // Service-level rows: full recognitions (front end + WTA) per second,
 // direct single-module recognize_batch vs a sharded RecognitionService,
-// on a 64x20 spin AMM (the same crossbar shape as the solver rows).
+// on a parasitic 64x160 spin AMM.
 // --------------------------------------------------------------------------
 
 struct ServiceRow {
@@ -278,7 +227,6 @@ SpinAmmConfig service_bench_config(std::size_t templates) {
   c.templates = templates;
   c.dwn = DwnParams::from_barrier(20.0);
   c.model = CrossbarModel::kParasitic;
-  c.parasitic_solver = CrossbarSolver::kTransfer;
   c.seed = 5;
   return c;
 }
@@ -664,6 +612,10 @@ struct OverloadRow {
   double mean_coverage = 0.0;
 };
 
+// Queries the unloaded trickle and every loaded row submit: a p99 then
+// rests on at least 100 tail samples.
+constexpr std::size_t kOverloadQueriesPerRow = 10'000;
+
 struct OverloadBenchResult {
   double knee_qps = 0.0;
   double unloaded_p99_us = 0.0;
@@ -783,7 +735,7 @@ OverloadBenchResult run_overload_benchmark() {
     }
     LoadGenConfig load;
     load.offered_qps = std::max(50.0, 0.05 * out.knee_qps);
-    load.queries = 1024;
+    load.queries = kOverloadQueriesPerRow;
     (void)run_open_loop(service, probes, load);
     out.unloaded_p99_us = service.stats().p99_latency_us;
   }
@@ -811,7 +763,7 @@ OverloadBenchResult run_overload_benchmark() {
                            RecognitionService& service) {
     LoadGenConfig load;
     load.offered_qps = offered_qps;
-    load.queries = 1024;
+    load.queries = kOverloadQueriesPerRow;
     load.deadline = std::chrono::microseconds(static_cast<long>(out.deadline_us));
     const LoadGenReport report = run_open_loop(service, probes, load);
     OverloadRow row;
@@ -856,9 +808,6 @@ OverloadBenchResult run_overload_benchmark() {
 }
 
 int run_json_benchmark(const std::string& path, const std::string& section) {
-  const std::size_t rows = 64;
-  const std::size_t cols = 20;
-
   // `--section <name>` runs and emits just that section — the fast mode
   // CI's bench smoke job uses. Empty means everything.
   const auto want = [&](const char* name) { return section.empty() || section == name; };
@@ -869,43 +818,11 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"benchmark\": \"recognition_paths\",\n");
-  std::fprintf(f, "  \"crossbar\": {\"rows\": %zu, \"cols\": %zu}", rows, cols);
-
-  PathTiming cg;
-  PathTiming factored;
-  PathTiming transfer;
-  PathTiming batch;
-  if (want("paths")) {
-    // The seed path: CG per query, cold cache counted against it only
-    // once (warm-started across queries, as in the seed).
-    cg = time_path(CrossbarSolver::kCg, rows, cols, 200, false);
-    factored = time_path(CrossbarSolver::kFactored, rows, cols, 2000, false);
-    transfer = time_path(CrossbarSolver::kTransfer, rows, cols, 20000, false);
-    // Amortized: one cold start (factorization + operator build) spread
-    // over a batch of queries, the steady-traffic figure of merit.
-    batch = time_path(CrossbarSolver::kTransfer, rows, cols, 20000, true);
-    std::fprintf(f, ",\n  \"paths\": {\n");
-    const auto emit = [&](const char* name, const PathTiming& t, const char* sep) {
-      std::fprintf(f, "    \"%s\": {\"queries_per_sec\": %.1f, \"ns_per_query\": %.1f}%s\n", name,
-                   t.queries_per_sec, t.ns_per_query, sep);
-    };
-    emit("cg", cg, ",");
-    emit("factored", factored, ",");
-    emit("transfer", transfer, ",");
-    emit("batch_amortized", batch, "");
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"speedup_vs_cg\": {\n");
-    std::fprintf(f, "    \"factored\": %.2f,\n", factored.queries_per_sec / cg.queries_per_sec);
-    std::fprintf(f, "    \"transfer\": %.2f,\n", transfer.queries_per_sec / cg.queries_per_sec);
-    std::fprintf(f, "    \"batch_amortized\": %.2f\n", batch.queries_per_sec / cg.queries_per_sec);
-    std::fprintf(f, "  }");
-  }
+  std::fprintf(f, "  \"benchmark\": \"recognition_paths\"");
 
   ServiceBenchResult service_bench;
   if (want("service")) {
-    // Service-level rows: *full recognitions* (front end + WTA), not bare
-    // crossbar matvecs, so these sit far below the solver-path numbers.
+    // Service-level rows: *full recognitions* (front end + WTA).
     std::printf("timing the service edge (full recognitions, direct vs sharded)...\n");
     service_bench = run_service_benchmark();
     std::fprintf(f, ",\n  \"service\": {\n");
@@ -1050,15 +967,6 @@ int run_json_benchmark(const std::string& path, const std::string& section) {
   std::fclose(f);
 
   std::printf("wrote %s\n", path.c_str());
-  if (want("paths")) {
-    std::printf("  cg:              %12.1f queries/s\n", cg.queries_per_sec);
-    std::printf("  factored:        %12.1f queries/s (%.1fx)\n", factored.queries_per_sec,
-                factored.queries_per_sec / cg.queries_per_sec);
-    std::printf("  transfer:        %12.1f queries/s (%.1fx)\n", transfer.queries_per_sec,
-                transfer.queries_per_sec / cg.queries_per_sec);
-    std::printf("  batch amortized: %12.1f queries/s (%.1fx)\n", batch.queries_per_sec,
-                batch.queries_per_sec / cg.queries_per_sec);
-  }
   for (const ServiceRow& row : service_bench.rows) {
     std::printf("  service %-7s t=%zu b=%-3zu: %12.1f full recognitions/s\n", row.mode,
                 row.threads, row.batch, row.queries_per_sec);
@@ -1115,9 +1023,9 @@ int main(int argc, char** argv) {
       json_path =
           (i + 1 < argc && argv[i + 1][0] != '-') ? argv[i + 1] : "BENCH_recognition.json";
     } else if (std::strcmp(argv[i], "--section") == 0 && i + 1 < argc) {
-      // Run and emit only one JSON section (paths | service | tiers |
-      // leaf_cache | endurance | overload) — the fast mode CI's bench
-      // smoke job uses. `service` also emits the `pipeline` breakdown.
+      // Run and emit only one JSON section (service | tiers | leaf_cache
+      // | endurance | overload) — the fast mode CI's bench smoke job uses.
+      // `service` also emits the `pipeline` breakdown.
       section = argv[++i];
     }
   }

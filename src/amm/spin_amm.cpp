@@ -34,7 +34,6 @@ SpinAmm::SpinAmm(const SpinAmmConfig& config) : config_(config), rng_(config.see
   rcm_config.dummy_column = config.dummy_column;
   rcm_config.row_target_conductance = config.row_target_conductance;
   rcm_ = std::make_unique<RcmArray>(rcm_config, rng_.fork());
-  rcm_->set_parasitic_solver(config.parasitic_solver);
 
   // The analytic-scale input-DAC bank's stream is forked here, so every
   // later fork sits at the same position whichever path store_templates
@@ -197,23 +196,16 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
     return std::chrono::duration<double, std::micro>(b - a).count();
   };
 
-  // The front end is shareable when evaluating a query never mutates the
-  // crossbar: the ideal closed form is const once its operator is built,
-  // and the transfer operator is const once prepared. CG/factored solves
-  // mutate solver state, so they stay on the calling thread.
+  // Build the crossbar's operator up front: once built, the ideal and the
+  // parasitic transfer operator are both const, so the workers share them.
   const bool parasitic = config_.model == CrossbarModel::kParasitic;
-  bool shareable = !parasitic;
-  if (parasitic && config_.parasitic_solver == CrossbarSolver::kTransfer) {
+  if (parasitic) {
     rcm_->prepare_parasitic(/*v_bias=*/0.0);
-    shareable = true;
-  }
-  if (!parasitic) {
+  } else {
     rcm_->prepare_ideal();
   }
-  if (shareable) {
-    // Warm the lazy row-conductance cache before the workers fan out.
-    (void)rcm_->row_conductance(0);
-  }
+  // Warm the lazy row-conductance cache before the workers fan out.
+  (void)rcm_->row_conductance(0);
 
   // Workers are sized against the query count; the dispatch below then
   // hands each worker whole chunks of kMinItemsPerThread queries, so one
@@ -238,48 +230,33 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
   // consume exactly the slots a sequential recognize() loop would.
   const std::uint64_t base = wta_->reserve_query_slots(batch);
 
-  if (!shareable) {
-    // CG/factored parasitic solves mutate the network; run the front end
-    // serially on this thread (counted as the DAC stage — there is no
-    // separate GEMM on this path), then let WTA + assemble fan out below.
-    const auto t0 = clock->now();
-    for (std::size_t i = 0; i < batch; ++i) {
-      const std::vector<double> c = column_currents(inputs[i]);
-      std::copy(c.begin(), c.end(), currents_flat.begin() + static_cast<std::ptrdiff_t>(i * cols));
-    }
-    dac_us[0] = elapsed_us(t0, clock->now());
-  }
-
   parallel_for_resolved(num_chunks, threads, [&](std::size_t c) {
     const std::size_t q0 = c * chunk_size;
     const std::size_t qn = std::min(chunk_size, batch - q0);
     double* chunk_currents = currents_flat.data() + q0 * cols;
 
-    if (shareable) {
-      // Stage 1 — DAC front end into thread-local scratch (no per-query
-      // heap allocation).
-      thread_local std::vector<double> input_scratch;
-      input_scratch.resize(chunk_size * dim);
-      const auto t0 = clock->now();
-      for (std::size_t qi = 0; qi < qn; ++qi) {
-        input_row_currents_into(inputs[q0 + qi], input_scratch.data() + qi * dim);
-      }
-      const auto t1 = clock->now();
-
-      // Stage 2 — one blocked GEMM against the cached crossbar operator.
-      if (parasitic) {
-        rcm_->column_currents_transfer_batch(input_scratch.data(), qn, chunk_currents,
-                                             /*v_bias=*/0.0);
-      } else {
-        rcm_->column_currents_ideal_batch(input_scratch.data(), qn, chunk_currents);
-      }
-      const auto t2 = clock->now();
-      dac_us[c] = elapsed_us(t0, t1);
-      gemm_us[c] = elapsed_us(t1, t2);
+    // Stage 1 — DAC front end into thread-local scratch (no per-query
+    // heap allocation).
+    thread_local std::vector<double> input_scratch;
+    input_scratch.resize(chunk_size * dim);
+    const auto t0 = clock->now();
+    for (std::size_t qi = 0; qi < qn; ++qi) {
+      input_row_currents_into(inputs[q0 + qi], input_scratch.data() + qi * dim);
     }
+    const auto t1 = clock->now();
+
+    // Stage 2 — one blocked GEMM against the cached crossbar operator.
+    if (parasitic) {
+      rcm_->column_currents_transfer_batch(input_scratch.data(), qn, chunk_currents,
+                                           /*v_bias=*/0.0);
+    } else {
+      rcm_->column_currents_ideal_batch(input_scratch.data(), qn, chunk_currents);
+    }
+    const auto t2 = clock->now();
+    dac_us[c] = elapsed_us(t0, t1);
+    gemm_us[c] = elapsed_us(t1, t2);
 
     // Stage 3 — WTA winner search per query slot.
-    const auto t2 = clock->now();
     thread_local std::vector<SpinWtaOutcome> outcomes;
     outcomes.resize(qn);
     for (std::size_t qi = 0; qi < qn; ++qi) {

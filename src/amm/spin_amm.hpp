@@ -46,8 +46,8 @@ struct SpinAmmConfig {
   double delta_v = 30e-3;        ///< crossbar bias dV [V]
   double clock = 100e6;          ///< conversion clock [Hz]
   CrossbarModel model = CrossbarModel::kIdeal;
-  /// Algorithm behind kParasitic (kTransfer amortizes one factorization
-  /// across all queries; kCg is the iterative reference path).
+  /// Algorithm behind kParasitic. kTransfer, one factorization amortized
+  /// across all queries, is the only one, so nothing reads this field.
   CrossbarSolver parasitic_solver = CrossbarSolver::kTransfer;
   bool thermal_noise = false;
   bool sample_mismatch = true;
@@ -115,14 +115,13 @@ class SpinAmm : public AssociativeEngine {
   /// winner-for-winner identical to calling recognize() on each input in
   /// order. The batch flows through flat rows x batch buffers in chunks
   /// of kMinItemsPerThread queries, each chunk a DAC -> GEMM -> WTA ->
-  /// assemble pipeline on one worker: when the crossbar path is safely
-  /// shareable (ideal model, or parasitic with the transfer-operator
-  /// solver) the crossbar stage is one register-tiled matrix product
-  /// (gemm_operator_batch) per chunk against the cached operator, and the
-  /// WTA stage always fans out because its thermal noise comes from
-  /// counter-based per-query streams (SpinSarWta::run_query_span) rather
-  /// than one shared sequential draw order. threads == 0 picks hardware
-  /// concurrency; last_batch_timing() reports the per-stage wall clock.
+  /// assemble pipeline on one worker: the crossbar stage is one
+  /// register-tiled matrix product (gemm_operator_batch) per chunk against
+  /// the cached ideal or transfer operator, and the WTA stage fans out
+  /// because its thermal noise comes from counter-based per-query streams
+  /// (SpinSarWta::run_query_span) rather than one shared sequential draw
+  /// order. threads == 0 picks hardware concurrency; last_batch_timing()
+  /// reports the per-stage wall clock.
   std::vector<Recognition> recognize_batch(const std::vector<FeatureVector>& inputs,
                                            std::size_t threads = 0) override;
 

@@ -31,11 +31,6 @@ void ResistiveNetwork::fix_voltage(RNode n, double volts) {
   solved_ = false;
 }
 
-bool ResistiveNetwork::is_fixed(RNode n) const {
-  require(n < node_count(), "ResistiveNetwork::is_fixed: unknown node");
-  return fixed_voltage_[n].has_value();
-}
-
 void ResistiveNetwork::add_conductance(RNode a, RNode b, double g) {
   require(a < node_count() && b < node_count(), "ResistiveNetwork::add_conductance: unknown node");
   require(a != b, "ResistiveNetwork::add_conductance: self-loop");
@@ -45,20 +40,9 @@ void ResistiveNetwork::add_conductance(RNode a, RNode b, double g) {
   solved_ = false;
 }
 
-void ResistiveNetwork::inject_current(RNode n, double amps) {
-  require(n < node_count(), "ResistiveNetwork::inject_current: unknown node");
-  injections_[n] += amps;
-  solved_ = false;
-}
-
 void ResistiveNetwork::set_injection(RNode n, double amps) {
   require(n < node_count(), "ResistiveNetwork::set_injection: unknown node");
   injections_[n] = amps;
-  solved_ = false;
-}
-
-void ResistiveNetwork::clear_injections() {
-  injections_.assign(injections_.size(), 0.0);
   solved_ = false;
 }
 
@@ -100,26 +84,6 @@ void ResistiveNetwork::build_system() {
   }
 
   reduced_a_ = builder.compress();
-  warm_start_.assign(n_unknown, 0.0);
-
-  // Per-node incident-element index (counting sort over endpoints).
-  node_elem_ptr_.assign(n + 1, 0);
-  for (const auto& e : elements_) {
-    ++node_elem_ptr_[e.a + 1];
-    ++node_elem_ptr_[e.b + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    node_elem_ptr_[i + 1] += node_elem_ptr_[i];
-  }
-  node_elem_idx_.assign(node_elem_ptr_[n], 0);
-  {
-    std::vector<std::size_t> fill = node_elem_ptr_;
-    for (std::size_t k = 0; k < elements_.size(); ++k) {
-      node_elem_idx_[fill[elements_[k].a]++] = k;
-      node_elem_idx_[fill[elements_[k].b]++] = k;
-    }
-  }
-
   structure_dirty_ = false;
   factor_dirty_ = true;
 }
@@ -133,42 +97,6 @@ std::vector<double> ResistiveNetwork::assemble_rhs() const {
     }
   }
   return rhs;
-}
-
-void ResistiveNetwork::scatter_solution(const std::vector<double>& reduced) {
-  solution_.assign(node_count(), 0.0);
-  for (std::size_t i = 0; i < node_count(); ++i) {
-    const std::ptrdiff_t ri = reduced_index_[i];
-    solution_[i] = (ri >= 0) ? reduced[static_cast<std::size_t>(ri)] : *fixed_voltage_[i];
-  }
-  solved_ = true;
-}
-
-const std::vector<double>& ResistiveNetwork::solve(const CgOptions& options) {
-  if (strategy_ == SolverStrategy::kFactored) {
-    return solve_factored();
-  }
-  return solve_cg(options);
-}
-
-const std::vector<double>& ResistiveNetwork::solve_cg(const CgOptions& options) {
-  if (structure_dirty_) {
-    build_system();
-  }
-
-  std::vector<double> rhs = assemble_rhs();
-  CgResult result =
-      conjugate_gradient(reduced_a_, rhs, options, warm_start_.empty() ? nullptr : &warm_start_);
-  if (!result.converged) {
-    throw NumericalError("ResistiveNetwork::solve: CG failed to converge (residual " +
-                         std::to_string(result.residual) + ")");
-  }
-  warm_start_ = result.x;
-
-  scatter_solution(result.x);
-  last_result_ = std::move(result);
-  last_result_.x.clear();  // full solution lives in solution_
-  return solution_;
 }
 
 void ResistiveNetwork::set_elimination_order(std::vector<RNode> order) {
@@ -197,16 +125,17 @@ void ResistiveNetwork::factorize() {
   factor_dirty_ = false;
 }
 
-const std::vector<double>& ResistiveNetwork::solve_factored() {
+const std::vector<double>& ResistiveNetwork::solve() {
   factorize();
-  const std::vector<double> rhs = assemble_rhs();
   std::vector<double> x;
-  ldlt_.solve_into(rhs, x);
+  ldlt_.solve_into(assemble_rhs(), x);
 
-  scatter_solution(x);
-  last_result_ = CgResult{};
-  last_result_.converged = true;
-  last_result_.iterations = 0;
+  solution_.assign(node_count(), 0.0);
+  for (std::size_t i = 0; i < node_count(); ++i) {
+    const std::ptrdiff_t ri = reduced_index_[i];
+    solution_[i] = (ri >= 0) ? x[static_cast<std::size_t>(ri)] : *fixed_voltage_[i];
+  }
+  solved_ = true;
   return solution_;
 }
 
@@ -251,28 +180,6 @@ double ResistiveNetwork::voltage(RNode n) const {
   require(solved_, "ResistiveNetwork::voltage: call solve() first");
   require(n < node_count(), "ResistiveNetwork::voltage: unknown node");
   return solution_[n];
-}
-
-double ResistiveNetwork::element_current(std::size_t index) const {
-  require(solved_, "ResistiveNetwork::element_current: call solve() first");
-  require(index < elements_.size(), "ResistiveNetwork::element_current: unknown element");
-  const auto& e = elements_[index];
-  return (solution_[e.a] - solution_[e.b]) * e.g;
-}
-
-double ResistiveNetwork::pin_current(RNode n) const {
-  require(solved_, "ResistiveNetwork::pin_current: call solve() first");
-  require(n < node_count(), "ResistiveNetwork::pin_current: unknown node");
-  require(fixed_voltage_[n].has_value(), "ResistiveNetwork::pin_current: node is not pinned");
-  // Sum of currents leaving the pinned node through its incident
-  // conductances, minus any injection, equals the source current.
-  double out = 0.0;
-  for (std::size_t p = node_elem_ptr_[n]; p < node_elem_ptr_[n + 1]; ++p) {
-    const auto& e = elements_[node_elem_idx_[p]];
-    const RNode other = (e.a == n) ? e.b : e.a;
-    out += (solution_[n] - solution_[other]) * e.g;
-  }
-  return out - injections_[n];
 }
 
 }  // namespace spinsim

@@ -1,16 +1,13 @@
 /// \file resistive_network.hpp
-/// Fast path for large grounded resistive networks (the parasitic crossbar).
+/// The parasitic crossbar's wire-junction network: a large grounded
+/// resistive network solved by sparse LDL^T.
 ///
-/// Compared to the general MNA, ideal voltage sources are handled as
-/// *Dirichlet nodes*: their voltage is known, so they are eliminated from
-/// the unknown set. What remains is a symmetric positive-definite
-/// conductance system. The parasitic crossbar factors it once as sparse
-/// LDL^T, in the elimination order it supplies, and reads its whole
-/// transfer operator from that factor through influence(); one factored
-/// solve gives the operator's offset. Jacobi-preconditioned CG (the
-/// kCg strategy) stays as the iterative reference path, and its
-/// consecutive solves of one topology warm-start from the previous
-/// operating point.
+/// Ideal voltage sources are handled as *Dirichlet nodes*: their voltage
+/// is known, so they are eliminated from the unknown set. What remains is
+/// a symmetric positive-definite conductance system. The parasitic
+/// crossbar factors it once, in the elimination order it supplies, reads
+/// its whole transfer operator from that factor through influence(), and
+/// takes the operator's offset from one solve().
 
 #pragma once
 
@@ -18,7 +15,6 @@
 #include <optional>
 #include <vector>
 
-#include "core/cg.hpp"
 #include "core/cholesky.hpp"
 #include "core/sparse.hpp"
 
@@ -27,12 +23,6 @@ namespace spinsim {
 /// A node in a ResistiveNetwork (dense index space, no ground node; use a
 /// fixed node at 0 V instead).
 using RNode = std::size_t;
-
-/// How solve() computes node voltages.
-enum class SolverStrategy {
-  kCg,        ///< Jacobi-preconditioned CG (reference iterative path)
-  kFactored,  ///< sparse LDL^T factored once, two triangular solves per call
-};
 
 /// Large resistive network with known-voltage (Dirichlet) nodes.
 class ResistiveNetwork {
@@ -43,55 +33,30 @@ class ResistiveNetwork {
   /// Adds `count` floating nodes; returns the id of the first.
   RNode add_nodes(std::size_t count);
 
-  std::size_t node_count() const { return fixed_voltage_.size(); }
-
   /// Pins node `n` to `volts` (an ideal voltage source to ground).
   void fix_voltage(RNode n, double volts);
-
-  /// True if the node is pinned.
-  bool is_fixed(RNode n) const;
 
   /// Adds a conductance `g` (= 1/R) between nodes a and b.
   void add_conductance(RNode a, RNode b, double g);
 
-  /// Injects `amps` into node n (from an ideal current source to ground).
-  void inject_current(RNode n, double amps);
-
-  /// Replaces the injection at node n.
+  /// Sets the current injected into node n (from an ideal current source
+  /// to ground) [A]; every node starts at zero.
   void set_injection(RNode n, double amps);
 
-  /// Clears all current injections (conductances and pins stay).
-  void clear_injections();
+  /// Solves for all node voltages: factorizes the reduced system once per
+  /// structure (lazily), then back-substitutes. Re-solving after only
+  /// injection changes reuses the factor.
+  const std::vector<double>& solve();
 
-  /// Selects the algorithm solve() dispatches to. Switching strategy
-  /// never changes the answer beyond solver tolerance; kFactored pays a
-  /// one-time factorization, then each solve is two triangular solves.
-  void set_solver(SolverStrategy strategy) { strategy_ = strategy; }
-  SolverStrategy solver() const { return strategy_; }
-
-  /// Solves for all node voltages using the selected strategy. Results
-  /// are cached; re-solving after only injection changes reuses the
-  /// factorised structure (and, for CG, the last solution as warm start).
-  const std::vector<double>& solve(const CgOptions& options = {});
-
-  /// Forces the CG path regardless of the selected strategy.
-  const std::vector<double>& solve_cg(const CgOptions& options = {});
-
-  /// Forces the direct path: factorizes lazily, then back-substitutes.
-  const std::vector<double>& solve_factored();
-
-  /// Sets the order factorize() eliminates the free nodes in. Every free
-  /// node must appear exactly once; pinned nodes are not unknowns and are
-  /// skipped wherever they appear. Empty (the default) keeps node order.
-  /// factorize() throws InvalidArgument on an unknown node or on an
-  /// order that misses or repeats a free node.
+  /// Sets the order the factorization eliminates the free nodes in. Every
+  /// free node must appear exactly once; pinned nodes are not unknowns and
+  /// are skipped wherever they appear. Empty (the default) keeps node
+  /// order. The next solve() or influence() throws InvalidArgument on an
+  /// unknown node or on an order that misses or repeats a free node.
   void set_elimination_order(std::vector<RNode> order);
 
-  /// Eagerly computes the LDL^T factor of the reduced system (no-op if
-  /// already current). Called lazily by solve_factored().
-  void factorize();
-
-  /// Nonzeros in the cached LDL^T factor (0 before factorize()).
+  /// Nonzeros in the cached LDL^T factor (0 before the first solve() or
+  /// influence()).
   std::size_t factor_nnz() const { return ldlt_.factor_nnz(); }
 
   /// Reciprocity block: out[j * inject.size() + c] = d v(observe[j]) /
@@ -107,20 +72,6 @@ class ResistiveNetwork {
   /// Voltage of node n after solve().
   double voltage(RNode n) const;
 
-  /// Current flowing a -> b through the conductance element `index`
-  /// (in insertion order) after solve().
-  double element_current(std::size_t index) const;
-
-  /// Total current delivered by the pin on node n (positive out of the
-  /// source into the network) after solve().
-  double pin_current(RNode n) const;
-
-  /// Number of conductance elements.
-  std::size_t element_count() const { return elements_.size(); }
-
-  /// Statistics from the last solve.
-  const CgResult& last_result() const { return last_result_; }
-
  private:
   struct Element {
     RNode a;
@@ -128,9 +79,10 @@ class ResistiveNetwork {
     double g;
   };
 
+  std::size_t node_count() const { return fixed_voltage_.size(); }
   void build_system();
+  void factorize();
   std::vector<double> assemble_rhs() const;
-  void scatter_solution(const std::vector<double>& reduced);
 
   std::vector<std::optional<double>> fixed_voltage_;
   std::vector<Element> elements_;
@@ -142,17 +94,9 @@ class ResistiveNetwork {
   CsrMatrix reduced_a_;
   std::vector<double> dirichlet_rhs_;  // contribution of pinned nodes
   std::vector<double> solution_;       // full node voltages
-  std::vector<double> warm_start_;     // previous reduced solution
-  CgResult last_result_;
   bool solved_ = false;
 
-  // Per-node incident-element index (CSR over nodes), built with the
-  // system so pin_current() stops scanning every element.
-  std::vector<std::size_t> node_elem_ptr_;
-  std::vector<std::size_t> node_elem_idx_;
-
-  // Direct-solver state.
-  SolverStrategy strategy_ = SolverStrategy::kCg;
+  // Factor of the reduced system.
   std::vector<RNode> elimination_order_;
   SparseLdlt ldlt_;
   bool factor_dirty_ = true;

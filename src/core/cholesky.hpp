@@ -3,9 +3,9 @@
 ///
 /// The parasitic crossbar produces one fixed SPD matrix per programming
 /// state; only the right-hand side (the injection vector) changes between
-/// recognitions. Factoring once and back-substituting per query replaces
-/// the per-query CG iteration loop with two sparse triangular solves —
-/// the numerical core of the direct-solver recognition path.
+/// recognitions. Factoring it once lets the crossbar read its whole
+/// transfer operator from the factor (inverse_entries), so a recognition
+/// costs one dense matvec instead of a solve.
 ///
 /// The factorization is the classic up-looking LDL^T: an elimination-tree
 /// symbolic pass sizes L exactly, then a numeric pass fills it column by

@@ -4,8 +4,8 @@
 /// The parasitic crossbar model produces symmetric positive-definite
 /// conductance matrices with ~10k unknowns and a handful of nonzeros per
 /// row. A COO triplet builder accumulates stamps; compress() produces an
-/// immutable CSR matrix, which the sparse LDL^T factor (SparseLdlt) and
-/// the conjugate-gradient solver both consume.
+/// immutable CSR matrix, which the sparse LDL^T factor (SparseLdlt)
+/// consumes.
 
 #pragma once
 

@@ -36,12 +36,6 @@ void PartitionedRcm::program(const std::vector<std::vector<double>>& columns) {
   programmed_ = true;
 }
 
-void PartitionedRcm::set_parasitic_solver(CrossbarSolver solver) {
-  for (auto& block : blocks_) {
-    block->set_parasitic_solver(solver);
-  }
-}
-
 double PartitionedRcm::row_conductance(std::size_t row) const {
   require(row < config_.rows, "PartitionedRcm::row_conductance: out of range");
   const std::size_t rpb = config_.rows_per_block();

@@ -45,9 +45,6 @@ class PartitionedRcm {
   /// weights, sliced row-wise across the blocks.
   void program(const std::vector<std::vector<double>>& columns);
 
-  /// Selects the parasitic evaluation algorithm on every block.
-  void set_parasitic_solver(CrossbarSolver solver);
-
   /// Total conductance on logical input bar `row` (within its block).
   double row_conductance(std::size_t row) const;
 

@@ -352,7 +352,6 @@ void RcmArray::build_parasitic_network(double v_bias) {
   const auto row_node = [&](std::size_t i, std::size_t j) { return row_base + i * cols + j; };
   const auto col_node = [&](std::size_t i, std::size_t j) { return col_base + i * cols + j; };
 
-  col_term_nodes_.clear();
   col_last_nodes_.clear();
   row_input_nodes_.clear();
 
@@ -372,7 +371,6 @@ void RcmArray::build_parasitic_network(double v_bias) {
     const RNode term = net_->add_node();
     net_->fix_voltage(term, v_bias);
     net_->add_conductance(col_node(rows - 1, j), term, g_seg);
-    col_term_nodes_.push_back(term);
     col_last_nodes_.push_back(col_node(rows - 1, j));
   }
 
@@ -399,14 +397,10 @@ void RcmArray::build_parasitic_network(double v_bias) {
   net_v_bias_ = v_bias;
 }
 
-void RcmArray::ensure_network(double v_bias) {
+void RcmArray::prepare_parasitic(double v_bias) {
   if (!net_ || net_v_bias_ != v_bias) {
     build_parasitic_network(v_bias);
   }
-}
-
-void RcmArray::ensure_transfer(double v_bias) {
-  ensure_network(v_bias);
   if (transfer_built_) {
     return;
   }
@@ -414,10 +408,13 @@ void RcmArray::ensure_transfer(double v_bias) {
 
   // Baseline: column currents with no injections (exactly zero for a
   // uniform bias, but computed so a future non-uniform clamp stays
-  // correct).
-  net_->clear_injections();
-  net_->solve_factored();
-  transfer_offset_ = extract_column_currents(v_bias);
+  // correct). The termination pin hangs off a single wire segment, so a
+  // column's current is just that segment's current.
+  net_->solve();
+  transfer_offset_.assign(config_.cols, 0.0);
+  for (std::size_t j = 0; j < config_.cols; ++j) {
+    transfer_offset_[j] = (net_->voltage(col_last_nodes_[j]) - v_bias) * g_seg;
+  }
 
   // By reciprocity T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r): one
   // unit solve per *output* column, and the influence block already comes
@@ -428,19 +425,6 @@ void RcmArray::ensure_transfer(double v_bias) {
   }
   transfer_built_ = true;
 }
-
-std::vector<double> RcmArray::extract_column_currents(double v_bias) const {
-  // The termination pin hangs off a single wire segment, so the column
-  // current is just that segment's current.
-  const double g_seg = 1.0 / config_.segment_resistance();
-  std::vector<double> out(config_.cols, 0.0);
-  for (std::size_t j = 0; j < config_.cols; ++j) {
-    out[j] = (net_->voltage(col_last_nodes_[j]) - v_bias) * g_seg;
-  }
-  return out;
-}
-
-void RcmArray::prepare_parasitic(double v_bias) { ensure_transfer(v_bias); }
 
 bool RcmArray::transfer_ready(double v_bias) const {
   return net_ != nullptr && transfer_built_ && net_v_bias_ == v_bias;
@@ -470,22 +454,8 @@ std::vector<double> RcmArray::column_currents_parasitic(
     const std::vector<double>& input_currents, double v_bias) {
   require(input_currents.size() == config_.rows,
           "RcmArray::column_currents_parasitic: need one input current per row");
-
-  if (solver_ == CrossbarSolver::kTransfer) {
-    ensure_transfer(v_bias);
-    return column_currents_transfer(input_currents, v_bias);
-  }
-
-  ensure_network(v_bias);
-  for (std::size_t i = 0; i < config_.rows; ++i) {
-    net_->set_injection(row_input_nodes_[i], input_currents[i]);
-  }
-  if (solver_ == CrossbarSolver::kFactored) {
-    net_->solve_factored();
-  } else {
-    net_->solve_cg();
-  }
-  return extract_column_currents(v_bias);
+  prepare_parasitic(v_bias);
+  return column_currents_transfer(input_currents, v_bias);
 }
 
 void RcmArray::invalidate_parasitic_cache() {

@@ -11,9 +11,11 @@
 ///  * ideal: current division I(i,j) = I_in(i) g_ij / G_TS(i) summed per
 ///    column — the closed form the paper's Section 4A derives, exact when
 ///    wire parasitics vanish and all column ends sit at the same bias.
-///  * parasitic: a full nodal solve over the 2 * rows * cols wire-junction
-///    network with per-segment Cu bar resistance (Table 2: 1 Ohm/um),
-///    which produces the IR-drop margin degradation of Fig. 9.
+///  * parasitic: the 2 * rows * cols wire-junction network with
+///    per-segment Cu bar resistance (Table 2: 1 Ohm/um), which produces
+///    the IR-drop margin degradation of Fig. 9. It is linear in the input
+///    currents, so the array factors it once and reads its whole transfer
+///    operator from the factor; a query is then one dense matvec.
 ///
 /// A per-row *dummy memristor* pads every row's total conductance G_TS to
 /// a common value so the DTCS-DAC sees a data-independent load (Section
@@ -82,10 +84,10 @@ struct RcmConfig {
 /// reads only the factor's trailing rows + cols columns to build it.
 std::vector<RNode> crossbar_elimination_order(std::size_t rows, std::size_t cols);
 
-/// Which algorithm evaluates the parasitic network.
+/// How the parasitic network is evaluated. The transfer operator (one
+/// blocked solve, then a matvec per query) is the only algorithm, so
+/// nothing reads this; SpinAmmConfig::parasitic_solver keeps it settable.
 enum class CrossbarSolver {
-  kCg,        ///< iterative CG per query (reference path)
-  kFactored,  ///< LDL^T factored once, two triangular solves per query
   kTransfer,  ///< transfer operator from one blocked solve, then a matvec
 };
 
@@ -173,28 +175,20 @@ class RcmArray {
   /// across threads via pointer offsets).
   void column_currents_ideal_batch(const double* inputs, std::size_t batch, double* out) const;
 
-  /// Selects the parasitic evaluation algorithm. All three paths agree to
-  /// solver tolerance; kTransfer (the default) amortizes one factorization
-  /// plus one blocked multi-right-hand-side solve for the whole operator
-  /// (ResistiveNetwork::influence) across every subsequent query, which
-  /// then costs a dense rows x cols matvec.
-  void set_parasitic_solver(CrossbarSolver solver) { solver_ = solver; }
-  CrossbarSolver parasitic_solver() const { return solver_; }
-
-  /// Full parasitic nodal solve. Input currents are injected at the left
+  /// Parasitic column currents. Input currents are injected at the left
   /// edge of each row bar; every column bar terminates at `v_bias` (the
   /// DWN clamp) at the bottom edge. Returns the current delivered into
-  /// each column termination [A]. Cost depends on the selected solver:
-  /// one CG solve over ~2*rows*cols nodes (kCg, warm-started across
-  /// calls), two sparse triangular solves (kFactored), or a dense
-  /// rows x cols matvec (kTransfer).
+  /// each column termination [A]: prepare_parasitic(v_bias) if needed,
+  /// then column_currents_transfer().
   std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents,
                                                 double v_bias = 0.0);
 
   /// Builds (or reuses) the parasitic network, its factorization and the
-  /// transfer operator for `v_bias`, so subsequent kTransfer queries are
-  /// pure matvecs — and column_currents_transfer() becomes callable from
-  /// const contexts (e.g. thread-parallel batch dispatch).
+  /// transfer operator for `v_bias`: one factored solve for the offset and
+  /// one blocked multi-right-hand-side solve (ResistiveNetwork::influence)
+  /// for the operator. Queries are then pure rows x cols matvecs, and
+  /// column_currents_transfer() becomes callable from const contexts
+  /// (e.g. thread-parallel batch dispatch).
   void prepare_parasitic(double v_bias = 0.0);
 
   /// True once prepare_parasitic(v_bias) has run (and nothing invalidated
@@ -230,10 +224,7 @@ class RcmArray {
  private:
   void program_cell_unchecked(std::size_t row, std::size_t col, std::size_t level);
   void build_parasitic_network(double v_bias);
-  void ensure_network(double v_bias);
-  void ensure_transfer(double v_bias);
   void ensure_row_sums() const;
-  std::vector<double> extract_column_currents(double v_bias) const;
 
   RcmConfig config_;
   Rng rng_;
@@ -255,11 +246,9 @@ class RcmArray {
   mutable bool row_sums_dirty_ = true;
 
   // Cached parasitic network (topology fixed after programming).
-  CrossbarSolver solver_ = CrossbarSolver::kTransfer;
   std::unique_ptr<ResistiveNetwork> net_;
   double net_v_bias_ = 0.0;
   std::vector<RNode> row_input_nodes_;
-  std::vector<RNode> col_term_nodes_;
   std::vector<RNode> col_last_nodes_;
 
   // Transfer operator: column currents = transfer_offset_ + T * inputs,

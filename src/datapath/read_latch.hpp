@@ -8,15 +8,13 @@
 /// regenerates the difference to full swing. Because the read current is
 /// a short transient, it does not disturb the DWN state.
 ///
-/// Two models are provided:
-///  * a behavioral decision (`decide`) with an input-referred offset
-///    sampled at construction, used inside the WTA loop, and
-///  * a transient-circuit simulation (`simulate`) built on the RC engine,
-///    used by integration tests to validate the behavioral model.
+/// The model is behavioral: `decide` compares the two resistances with
+/// an input-referred offset sampled at construction, once per SAR cycle
+/// of the WTA loop. The tests validate it against a backward-Euler
+/// simulation of the two discharge branches.
 
 #pragma once
 
-#include "circuit/transient.hpp"
 #include "core/random.hpp"
 #include "core/units.hpp"
 #include "device/tech45.hpp"
@@ -35,13 +33,6 @@ struct ReadLatchDesign {
   }
 };
 
-/// Result of a circuit-level latch simulation.
-struct LatchTransient {
-  bool decided_parallel = false;  ///< true if the DWN branch discharged faster
-  double branch_separation = 0.0; ///< |v_dwn - v_ref| at the sense instant [V]
-  TransientTrace trace;           ///< full waveform (nodes: see read_latch.cpp)
-};
-
 /// One latch instance with sampled offset.
 class ReadLatch {
  public:
@@ -54,10 +45,6 @@ class ReadLatch {
   /// (i.e. the MTJ is in the parallel state), with the sampled offset
   /// applied. This is what the SAR loop consumes each cycle.
   bool decide(double r_mtj, double r_reference) const;
-
-  /// Circuit-level RC simulation of the two discharge branches.
-  LatchTransient simulate(double r_mtj, double r_reference,
-                          const Tech45& tech = Tech45::nominal()) const;
 
  private:
   ReadLatchDesign design_;

@@ -116,14 +116,13 @@ TEST(AllocBudget, LeafReattachAllocatesNoMoreThanAHit) {
 
 TEST(AllocBudget, SpinRecognizeBatchAllocatesFewerThanEightPerQuery) {
   // One shard of the spin-bulk benchmark workload: 64 rows x 80 columns
-  // on the parasitic crossbar, transfer solver, one engine thread.
+  // on the parasitic crossbar, one engine thread.
   SpinAmmConfig config;
   config.features.height = 8;
   config.features.width = 8;
   config.templates = 80;
   config.dwn = DwnParams::from_barrier(20.0);
   config.model = CrossbarModel::kParasitic;
-  config.parasitic_solver = CrossbarSolver::kTransfer;
   config.seed = 5;
 
   Rng rng(11);

@@ -74,22 +74,7 @@ TEST(RecognizeBatch, MatchesSequentialIdealThreaded) {
 TEST(RecognizeBatch, MatchesSequentialParasiticTransfer) {
   SpinAmmConfig c = batch_config();
   c.model = CrossbarModel::kParasitic;
-  c.parasitic_solver = CrossbarSolver::kTransfer;
   expect_batch_matches_sequential(c, 4);
-}
-
-TEST(RecognizeBatch, MatchesSequentialParasiticFactored) {
-  SpinAmmConfig c = batch_config();
-  c.model = CrossbarModel::kParasitic;
-  c.parasitic_solver = CrossbarSolver::kFactored;
-  expect_batch_matches_sequential(c, 4);  // falls back to serial front end
-}
-
-TEST(RecognizeBatch, MatchesSequentialParasiticCg) {
-  SpinAmmConfig c = batch_config();
-  c.model = CrossbarModel::kParasitic;
-  c.parasitic_solver = CrossbarSolver::kCg;
-  expect_batch_matches_sequential(c, 2);
 }
 
 TEST(RecognizeBatch, MatchesSequentialWithThermalNoise) {

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "circuit/mna.hpp"
-#include "circuit/netlist.hpp"
 #include "core/units.hpp"
+#include "support/mna.hpp"
+#include "support/netlist.hpp"
 
 namespace spinsim {
 namespace {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "circuit/mna.hpp"
+#include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
+
 #include "circuit/resistive_network.hpp"
 #include "core/random.hpp"
 #include "crossbar/rcm.hpp"
+#include "support/mna.hpp"
 
 namespace spinsim {
 namespace {
@@ -27,32 +32,9 @@ TEST(ResistiveNetwork, CurrentInjection) {
   const RNode gnd = net.add_node();
   net.fix_voltage(gnd, 0.0);
   net.add_conductance(n, gnd, 1.0 / 500.0);
-  net.inject_current(n, 2e-3);
+  net.set_injection(n, 2e-3);
   net.solve();
   EXPECT_NEAR(net.voltage(n), 1.0, 1e-9);
-}
-
-TEST(ResistiveNetwork, PinCurrentBalancesInjection) {
-  ResistiveNetwork net;
-  const RNode n = net.add_node();
-  const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
-  net.add_conductance(n, gnd, 1e-3);
-  net.inject_current(n, 1e-3);
-  net.solve();
-  // Everything injected must exit through the pin.
-  EXPECT_NEAR(net.pin_current(gnd), -1e-3, 1e-12);
-}
-
-TEST(ResistiveNetwork, ElementCurrentSign) {
-  ResistiveNetwork net;
-  const RNode a = net.add_node();
-  const RNode b = net.add_node();
-  net.fix_voltage(a, 1.0);
-  net.fix_voltage(b, 0.0);
-  net.add_conductance(a, b, 0.01);
-  net.solve();
-  EXPECT_NEAR(net.element_current(0), 0.01, 1e-12);  // flows a -> b
 }
 
 TEST(ResistiveNetwork, RequiresAPin) {
@@ -75,7 +57,7 @@ TEST(ResistiveNetwork, InjectionUpdatesWithoutRebuild) {
   net.set_injection(n, 3e-3);
   net.solve();
   EXPECT_NEAR(net.voltage(n), 3.0, 1e-9);
-  net.clear_injections();
+  net.set_injection(n, 0.0);
   net.solve();
   EXPECT_NEAR(net.voltage(n), 0.0, 1e-9);
 }
@@ -138,7 +120,7 @@ TEST_P(ResistiveVsMna, VoltagesAgree) {
   for (std::size_t i = 0; i < n; i += 2) {
     const double amps = rng.uniform(-1e-3, 1e-3);
     mna.add_current_source(kGround, mna_nodes[i], amps);
-    fast.inject_current(fast_nodes[i], amps);
+    fast.set_injection(fast_nodes[i], amps);
   }
 
   const DcSolution ref = solve_dc(mna);
@@ -148,12 +130,14 @@ TEST_P(ResistiveVsMna, VoltagesAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, ResistiveVsMna, ::testing::Values(3, 10, 40, 120));
+INSTANTIATE_TEST_SUITE_P(Sizes, ResistiveVsMna, ::testing::Values(3, 10, 40, 120, 400));
 
 /// Builds a random grounded resistor network with injections; returns the
-/// free node ids (same construction as ResistiveVsMna, without the MNA).
+/// free node ids and, optionally, each one's injection (same construction
+/// as ResistiveVsMna, without the MNA).
 ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
-                                         std::vector<RNode>* nodes_out) {
+                                         std::vector<RNode>* nodes_out,
+                                         std::vector<double>* injections_out = nullptr) {
   Rng rng(seed);
   ResistiveNetwork net;
   std::vector<RNode> nodes;
@@ -175,57 +159,18 @@ ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
   for (std::size_t i = 0; i < n; i += 3) {
     net.add_conductance(nodes[i], gnd, 1.0 / rng.uniform(1e3, 50e3));
   }
+  std::vector<double> injections(n, 0.0);
   for (std::size_t i = 0; i < n; i += 2) {
-    net.inject_current(nodes[i], rng.uniform(-1e-3, 1e-3));
+    injections[i] = rng.uniform(-1e-3, 1e-3);
+    net.set_injection(nodes[i], injections[i]);
   }
   if (nodes_out != nullptr) {
     *nodes_out = nodes;
   }
+  if (injections_out != nullptr) {
+    *injections_out = injections;
+  }
   return net;
-}
-
-/// Property: the direct LDL^T path agrees with tight-tolerance CG on
-/// random grounded networks.
-class FactoredVsCg : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FactoredVsCg, VoltagesAgree) {
-  const std::size_t n = GetParam();
-  std::vector<RNode> nodes;
-  ResistiveNetwork net = random_grounded_network(n, 900 + n, &nodes);
-
-  CgOptions tight;
-  tight.tolerance = 1e-13;
-  net.solve_cg(tight);
-  std::vector<double> v_cg(n);
-  double scale = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v_cg[i] = net.voltage(nodes[i]);
-    scale = std::max(scale, std::abs(v_cg[i]));
-  }
-
-  net.solve_factored();
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(net.voltage(nodes[i]), v_cg[i], 1e-9 * scale);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, FactoredVsCg, ::testing::Values(3, 10, 40, 120, 400));
-
-TEST(ResistiveNetwork, SolverStrategyDispatch) {
-  std::vector<RNode> nodes;
-  ResistiveNetwork net = random_grounded_network(50, 42, &nodes);
-  net.solve();  // default CG
-  std::vector<double> v_cg(nodes.size());
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    v_cg[i] = net.voltage(nodes[i]);
-  }
-  net.set_solver(SolverStrategy::kFactored);
-  EXPECT_EQ(net.solver(), SolverStrategy::kFactored);
-  net.solve();
-  EXPECT_GT(net.factor_nnz(), 0u);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    EXPECT_NEAR(net.voltage(nodes[i]), v_cg[i], 1e-9);
-  }
 }
 
 TEST(ResistiveNetwork, FactoredSolveTracksInjectionChanges) {
@@ -235,10 +180,10 @@ TEST(ResistiveNetwork, FactoredSolveTracksInjectionChanges) {
   net.fix_voltage(gnd, 0.0);
   net.add_conductance(n, gnd, 1e-3);
   net.set_injection(n, 1e-3);
-  net.solve_factored();
+  net.solve();
   EXPECT_NEAR(net.voltage(n), 1.0, 1e-12);
   net.set_injection(n, 3e-3);
-  net.solve_factored();
+  net.solve();
   EXPECT_NEAR(net.voltage(n), 3.0, 1e-12);
 }
 
@@ -248,11 +193,11 @@ TEST(ResistiveNetwork, FactoredSolveTracksStructureChanges) {
   const RNode gnd = net.add_node();
   net.fix_voltage(gnd, 0.0);
   net.add_conductance(n, gnd, 1e-3);
-  net.inject_current(n, 1e-3);
-  net.solve_factored();
+  net.set_injection(n, 1e-3);
+  net.solve();
   EXPECT_NEAR(net.voltage(n), 1.0, 1e-12);
   net.add_conductance(n, gnd, 1e-3);  // refactorizes on the next solve
-  net.solve_factored();
+  net.solve();
   EXPECT_NEAR(net.voltage(n), 0.5, 1e-12);
 }
 
@@ -261,27 +206,32 @@ TEST(ResistiveNetwork, InfluenceMatchesFiniteDifference) {
   // equal the voltage change per unit injected current measured by two
   // solves.
   std::vector<RNode> nodes;
-  ResistiveNetwork net = random_grounded_network(30, 77, &nodes);
+  std::vector<double> injections;
+  ResistiveNetwork net = random_grounded_network(30, 77, &nodes, &injections);
   const std::vector<RNode> observe = {nodes[7], nodes[2]};
-  const std::vector<RNode> poke = {nodes[19], nodes[7], nodes[0]};
+  const std::vector<std::size_t> poked = {19, 7, 0};
+  std::vector<RNode> poke;
+  for (const std::size_t k : poked) {
+    poke.push_back(nodes[k]);
+  }
   const std::vector<double> w = net.influence(observe, poke);
   ASSERT_EQ(w.size(), observe.size() * poke.size());
 
   const double delta = 1e-6;
   for (std::size_t c = 0; c < poke.size(); ++c) {
-    net.solve_factored();
+    net.solve();
     std::vector<double> v0;
     for (const RNode o : observe) {
       v0.push_back(net.voltage(o));
     }
-    net.inject_current(poke[c], delta);
-    net.solve_factored();
+    net.set_injection(poke[c], injections[poked[c]] + delta);
+    net.solve();
     for (std::size_t j = 0; j < observe.size(); ++j) {
       const double dv_di = (net.voltage(observe[j]) - v0[j]) / delta;
       const double wjc = w[j * poke.size() + c];
       EXPECT_NEAR(wjc, dv_di, 1e-6 * std::abs(wjc) + 1e-15) << "j = " << j << ", c = " << c;
     }
-    net.inject_current(poke[c], -delta);
+    net.set_injection(poke[c], injections[poked[c]]);
   }
 }
 
@@ -302,9 +252,9 @@ TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
 }
 
 TEST(ResistiveNetwork, StructureChangeInvalidatesSolution) {
-  // Querying voltages/currents after a mutation must force a re-solve
-  // (the stale per-node element index would otherwise be read out of
-  // bounds for a node added after the last solve).
+  // Querying voltages after a mutation must force a re-solve (the stale
+  // solution would otherwise be read out of bounds for a node added after
+  // the last solve).
   ResistiveNetwork net;
   const RNode n = net.add_node();
   const RNode gnd = net.add_node();
@@ -313,31 +263,14 @@ TEST(ResistiveNetwork, StructureChangeInvalidatesSolution) {
   net.solve();
   const RNode late = net.add_node();
   net.fix_voltage(late, 1.0);
-  EXPECT_THROW(net.pin_current(late), InvalidArgument);
   EXPECT_THROW(net.voltage(late), InvalidArgument);
   net.add_conductance(late, n, 1e-3);
   net.solve();
-  EXPECT_NO_THROW(net.pin_current(late));
-}
-
-TEST(ResistiveNetwork, PinCurrentWithManyPins) {
-  // Two pins share the delivered current; the incident-element index must
-  // attribute each branch to the right pin.
-  ResistiveNetwork net;
-  const RNode mid = net.add_node();
-  const RNode hi = net.add_node();
-  const RNode lo = net.add_node();
-  net.fix_voltage(hi, 1.0);
-  net.fix_voltage(lo, 0.0);
-  net.add_conductance(hi, mid, 1e-3);
-  net.add_conductance(mid, lo, 1e-3);
-  net.solve();
-  EXPECT_NEAR(net.pin_current(hi), 0.5e-3, 1e-12);
-  EXPECT_NEAR(net.pin_current(lo), -0.5e-3, 1e-12);
+  EXPECT_NEAR(net.voltage(n), 0.5, 1e-12);
 }
 
 TEST(ResistiveNetwork, LargeGridSolves) {
-  // 50x50 resistor grid, edges pinned: a smoke test of CG at scale.
+  // 50x50 resistor grid, corners pinned: a smoke test of the solve at scale.
   ResistiveNetwork net;
   const std::size_t n = 50;
   const RNode base = net.add_nodes(n * n);
@@ -360,6 +293,76 @@ TEST(ResistiveNetwork, LargeGridSolves) {
   EXPECT_GT(v_mid, 0.0);
   EXPECT_LT(v_mid, 1.0);
   EXPECT_NEAR(v_mid, 0.5, 0.05);  // symmetric grid
+}
+
+/// Free-node voltages of `net` after one solve.
+std::vector<double> solved_voltages(ResistiveNetwork& net, const std::vector<RNode>& nodes) {
+  net.solve();
+  std::vector<double> v;
+  for (const RNode node : nodes) {
+    v.push_back(net.voltage(node));
+  }
+  return v;
+}
+
+/// Largest |a - b| over the largest |b|.
+double max_relative_deviation(const std::vector<double>& a, const std::vector<double>& b) {
+  double scale = 0.0;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    scale = std::max(scale, std::abs(b[i]));
+    worst = std::max(worst, std::abs(a[i] - b[i]));
+  }
+  return worst / scale;
+}
+
+// The elimination-order contract of set_elimination_order(), on a random
+// 40-node network whose node 40 is the pinned ground.
+constexpr std::size_t kOrderNodes = 40;
+
+TEST(ResistiveNetwork, EliminationOrderGivesTheNaturalOrdersVoltages) {
+  std::vector<RNode> nodes;
+  ResistiveNetwork natural = random_grounded_network(kOrderNodes, 31, &nodes);
+  const std::vector<double> expected = solved_voltages(natural, nodes);
+
+  // Reversed; interleaved from both ends; reversed with the ground pin
+  // listed first, in the middle and last, where it is skipped.
+  const RNode gnd = kOrderNodes;
+  std::vector<RNode> reversed(nodes.rbegin(), nodes.rend());
+  std::vector<RNode> interleaved;
+  for (std::size_t k = 0; k < kOrderNodes / 2; ++k) {
+    interleaved.push_back(nodes[k]);
+    interleaved.push_back(nodes[kOrderNodes - 1 - k]);
+  }
+  std::vector<RNode> with_pins = reversed;
+  with_pins.insert(with_pins.begin() + static_cast<std::ptrdiff_t>(kOrderNodes / 2), gnd);
+  with_pins.insert(with_pins.begin(), gnd);
+  with_pins.push_back(gnd);
+  for (const auto* order : {&reversed, &interleaved, &with_pins}) {
+    ResistiveNetwork net = random_grounded_network(kOrderNodes, 31, nullptr);
+    net.set_elimination_order(*order);
+    EXPECT_LT(max_relative_deviation(solved_voltages(net, nodes), expected), 1e-12);
+  }
+}
+
+TEST(ResistiveNetwork, EliminationOrderRejectsABadOrder) {
+  std::vector<RNode> nodes;
+  ResistiveNetwork net = random_grounded_network(kOrderNodes, 34, &nodes);
+  std::vector<RNode> unknown = nodes;
+  unknown.push_back(kOrderNodes + 1);  // one past the ground node
+  std::vector<RNode> missing(nodes.begin() + 1, nodes.end());
+  std::vector<RNode> repeated = nodes;
+  repeated.push_back(nodes[5]);
+  // As long as the node list, but node 5 twice and node 9 never.
+  std::vector<RNode> swapped = nodes;
+  swapped[9] = nodes[5];
+  for (const auto* order : {&unknown, &missing, &repeated, &swapped}) {
+    net.set_elimination_order(*order);
+    EXPECT_THROW(net.solve(), InvalidArgument);
+  }
+  // A valid order afterwards factors and solves as usual.
+  net.set_elimination_order(nodes);
+  EXPECT_NO_THROW(net.solve());
 }
 
 TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
@@ -402,7 +405,7 @@ TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
     net.add_conductance(row_node(i, cols - 1), dummy_bar, 1.0 / rng.uniform(1e3, 32e3));
   }
   net.set_elimination_order(crossbar_elimination_order(rows, cols));
-  net.factorize();
+  net.solve();
   EXPECT_LE(net.factor_nnz(), 450'000u);
 }
 

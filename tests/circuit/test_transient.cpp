@@ -2,8 +2,8 @@
 
 #include <cmath>
 
-#include "circuit/transient.hpp"
 #include "core/units.hpp"
+#include "support/transient.hpp"
 
 namespace spinsim {
 namespace {

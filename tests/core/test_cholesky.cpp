@@ -5,11 +5,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/cg.hpp"
 #include "core/cholesky.hpp"
 #include "core/error.hpp"
 #include "core/random.hpp"
 #include "core/sparse.hpp"
+#include "support/cg.hpp"
 
 namespace spinsim {
 namespace {

@@ -6,8 +6,9 @@
 #include <tuple>
 #include <vector>
 
-#include "core/lu.hpp"
 #include "core/random.hpp"
+#include "support/dense_matrix.hpp"
+#include "support/lu.hpp"
 
 namespace spinsim {
 namespace {

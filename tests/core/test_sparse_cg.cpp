@@ -5,10 +5,11 @@
 #include <utility>
 #include <vector>
 
-#include "core/cg.hpp"
-#include "core/lu.hpp"
 #include "core/random.hpp"
 #include "core/sparse.hpp"
+#include "support/cg.hpp"
+#include "support/dense_matrix.hpp"
+#include "support/lu.hpp"
 
 namespace spinsim {
 namespace {

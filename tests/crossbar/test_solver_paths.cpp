@@ -7,11 +7,13 @@
 
 #include "core/random.hpp"
 #include "crossbar/rcm.hpp"
+#include "support/crossbar_reference.hpp"
 #include "support/random_weights.hpp"
 
 namespace spinsim {
 namespace {
 
+using testing::CrossbarReference;
 using testing::random_columns;
 
 std::vector<double> random_inputs(std::size_t rows, std::uint64_t seed) {
@@ -36,37 +38,31 @@ double relative_error(const std::vector<double>& test, const std::vector<double>
   return scale > 0.0 ? worst / scale : worst;
 }
 
-/// Reference currents via tight-tolerance CG on an identically-programmed
-/// array (identical seed => identical realised conductances).
+/// The transfer operator against the independent reference network of
+/// the same array, solved by tight-tolerance CG and by a full direct solve.
 void expect_paths_agree(const RcmConfig& config, std::uint64_t seed, double v_bias,
                         bool inject_faults, double cg_tolerance = 1e-8) {
-  RcmArray reference(config, Rng(seed));
-  RcmArray direct(config, Rng(seed));
-  const auto columns = random_columns(config.rows, config.cols, seed + 1);
-  reference.program(columns);
-  direct.program(columns);
+  RcmArray array(config, Rng(seed));
+  array.program(random_columns(config.rows, config.cols, seed + 1));
   if (inject_faults) {
-    reference.inject_fault(1, 2, RcmArray::StuckFault::kOpen);
-    direct.inject_fault(1, 2, RcmArray::StuckFault::kOpen);
-    reference.inject_fault(config.rows - 1, config.cols - 1, RcmArray::StuckFault::kShort);
-    direct.inject_fault(config.rows - 1, config.cols - 1, RcmArray::StuckFault::kShort);
+    array.inject_fault(1, 2, RcmArray::StuckFault::kOpen);
+    array.inject_fault(config.rows - 1, config.cols - 1, RcmArray::StuckFault::kShort);
   }
 
   const std::vector<double> inputs = random_inputs(config.rows, seed + 2);
-  reference.set_parasitic_solver(CrossbarSolver::kCg);
-  const std::vector<double> i_cg = reference.column_currents_parasitic(inputs, v_bias);
+  CrossbarReference reference(array, v_bias);
+  const std::vector<double> i_cg = reference.currents_cg(inputs);
 
-  direct.set_parasitic_solver(CrossbarSolver::kFactored);
-  const std::vector<double> i_factored = direct.column_currents_parasitic(inputs, v_bias);
-  EXPECT_LT(relative_error(i_factored, i_cg), cg_tolerance);
+  const std::vector<double> i_direct = reference.currents_direct(inputs);
+  EXPECT_LT(relative_error(i_direct, i_cg), cg_tolerance);
 
-  direct.set_parasitic_solver(CrossbarSolver::kTransfer);
-  const std::vector<double> i_transfer = direct.column_currents_parasitic(inputs, v_bias);
+  const std::vector<double> i_transfer = array.column_currents_parasitic(inputs, v_bias);
   EXPECT_LT(relative_error(i_transfer, i_cg), cg_tolerance);
 
-  // Factored and transfer are both exact (up to roundoff): they must
-  // agree with each other much tighter than either agrees with CG.
-  EXPECT_LT(relative_error(i_transfer, i_factored), 1e-10);
+  // The direct solve and the transfer operator are both exact (up to
+  // roundoff): they must agree with each other much tighter than either
+  // agrees with CG.
+  EXPECT_LT(relative_error(i_transfer, i_direct), 1e-10);
 }
 
 TEST(CrossbarSolverPaths, Fig03ConfigurationAgrees) {
@@ -145,11 +141,8 @@ TEST(CrossbarSolverPaths, TransferCacheInvalidatedByBiasChange) {
   ASSERT_TRUE(rcm.transfer_ready(0.0));
   EXPECT_FALSE(rcm.transfer_ready(10e-3));
 
-  rcm.set_parasitic_solver(CrossbarSolver::kCg);
-  RcmArray twin(config, Rng(37));
-  twin.program(random_columns(config.rows, config.cols, 38));
-  const std::vector<double> i_cg = rcm.column_currents_parasitic(inputs, 10e-3);
-  const std::vector<double> i_tr = twin.column_currents_parasitic(inputs, 10e-3);
+  const std::vector<double> i_tr = rcm.column_currents_parasitic(inputs, 10e-3);
+  const std::vector<double> i_cg = CrossbarReference(rcm, 10e-3).currents_cg(inputs);
   // Loose bound for the same reason as NonZeroBiasAgrees: the CG
   // reference carries the bias-scaled residual error.
   EXPECT_LT(relative_error(i_tr, i_cg), 1e-5);
@@ -200,18 +193,15 @@ TEST(CrossbarSolverPaths, EliminationOrderPutsTheBoundaryLast) {
       config.rows = rows;
       config.cols = cols;
       config.dummy_column = dummy;
-      RcmArray transfer(config, Rng(57));
-      RcmArray factored(config, Rng(57));
-      const auto columns = random_columns(rows, cols, 58);
-      transfer.program(columns);
-      factored.program(columns);
-      ASSERT_NO_THROW(transfer.prepare_parasitic()) << "dummy column " << dummy;
-      factored.set_parasitic_solver(CrossbarSolver::kFactored);
+      RcmArray array(config, Rng(57));
+      array.program(random_columns(rows, cols, 58));
+      ASSERT_NO_THROW(array.prepare_parasitic()) << "dummy column " << dummy;
+      CrossbarReference reference(array);
       for (const std::size_t r : {std::size_t{0}, rows - 1}) {
         std::vector<double> unit(rows, 0.0);
         unit[r] = 1.0;
-        EXPECT_LT(relative_error(transfer.column_currents_transfer(unit),
-                                 factored.column_currents_parasitic(unit)),
+        EXPECT_LT(relative_error(array.column_currents_transfer(unit),
+                                 reference.currents_direct(unit)),
                   1e-12)
             << "dummy column " << dummy << ", row " << r;
       }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "device/mtj.hpp"
+#include "support/latch_transient.hpp"
 
 namespace spinsim {
 namespace {
@@ -51,32 +52,32 @@ TEST(ReadLatch, TransientAgreesWithBehavioralOnClearMargins) {
   const MtjSpec mtj;
   const double r_ref = mtj.reference_resistance();
 
-  const LatchTransient parallel = latch.simulate(mtj.r_parallel, r_ref);
+  const LatchTransient parallel = simulate_read_latch(latch.design(), mtj.r_parallel, r_ref);
   EXPECT_TRUE(parallel.decided_parallel);
   EXPECT_EQ(parallel.decided_parallel, latch.decide(mtj.r_parallel, r_ref));
 
-  const LatchTransient anti = latch.simulate(mtj.r_antiparallel, r_ref);
+  const LatchTransient anti = simulate_read_latch(latch.design(), mtj.r_antiparallel, r_ref);
   EXPECT_FALSE(anti.decided_parallel);
   EXPECT_EQ(anti.decided_parallel, latch.decide(mtj.r_antiparallel, r_ref));
 }
 
 TEST(ReadLatch, TransientSeparationGrowsWithTmr) {
   const ReadLatch latch{ReadLatchDesign{}};
-  const LatchTransient strong = latch.simulate(5e3, 10e3);
-  const LatchTransient weak = latch.simulate(9e3, 10e3);
+  const LatchTransient strong = simulate_read_latch(latch.design(), 5e3, 10e3);
+  const LatchTransient weak = simulate_read_latch(latch.design(), 9e3, 10e3);
   EXPECT_GT(strong.branch_separation, weak.branch_separation);
 }
 
 TEST(ReadLatch, TransientEqualResistancesBarelySeparate) {
   const ReadLatch latch{ReadLatchDesign{}};
-  const LatchTransient t = latch.simulate(10e3, 10e3);
+  const LatchTransient t = simulate_read_latch(latch.design(), 10e3, 10e3);
   EXPECT_LT(t.branch_separation, 1e-6);
 }
 
 TEST(ReadLatch, RejectsNonPositiveResistance) {
   const ReadLatch latch{ReadLatchDesign{}};
   EXPECT_THROW(latch.decide(0.0, 10e3), InvalidArgument);
-  EXPECT_THROW(latch.simulate(-5.0, 10e3), InvalidArgument);
+  EXPECT_THROW(simulate_read_latch(latch.design(), -5.0, 10e3), InvalidArgument);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
-#include "core/cg.hpp"
+#include "support/cg.hpp"
 
 #include <cmath>
 
 #include "core/error.hpp"
 #include "core/matrix.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace spinsim {
 

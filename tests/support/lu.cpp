@@ -1,4 +1,4 @@
-#include "core/lu.hpp"
+#include "support/lu.hpp"
 
 #include <cmath>
 #include <utility>

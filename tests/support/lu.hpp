@@ -10,7 +10,7 @@
 
 #include <vector>
 
-#include "core/matrix.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace spinsim {
 

@@ -1,6 +1,6 @@
-#include "circuit/mna.hpp"
+#include "support/mna.hpp"
 
-#include "core/lu.hpp"
+#include "support/lu.hpp"
 
 namespace spinsim {
 

@@ -10,8 +10,8 @@
 
 #include <vector>
 
-#include "circuit/netlist.hpp"
-#include "core/matrix.hpp"
+#include "support/netlist.hpp"
+#include "support/dense_matrix.hpp"
 
 namespace spinsim {
 

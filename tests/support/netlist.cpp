@@ -1,4 +1,4 @@
-#include "circuit/netlist.hpp"
+#include "support/netlist.hpp"
 
 namespace spinsim {
 

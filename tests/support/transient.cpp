@@ -1,8 +1,8 @@
-#include "circuit/transient.hpp"
+#include "support/transient.hpp"
 
 #include <memory>
 
-#include "circuit/mna.hpp"
+#include "support/mna.hpp"
 
 namespace spinsim {
 

@@ -12,8 +12,8 @@
 #include <memory>
 #include <vector>
 
-#include "circuit/netlist.hpp"
-#include "core/lu.hpp"
+#include "support/netlist.hpp"
+#include "support/lu.hpp"
 
 namespace spinsim {
 
