@@ -7,7 +7,9 @@
 
 #include "circuit/resistive_network.hpp"
 #include "core/random.hpp"
+#include "core/sparse.hpp"
 #include "crossbar/rcm.hpp"
+#include "support/cg.hpp"
 #include "support/mna.hpp"
 
 namespace spinsim {
@@ -133,31 +135,43 @@ TEST_P(ResistiveVsMna, VoltagesAgree) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ResistiveVsMna, ::testing::Values(3, 10, 40, 120, 400));
 
 /// Builds a random grounded resistor network with injections; returns the
-/// free node ids and, optionally, each one's injection (same construction
-/// as ResistiveVsMna, without the MNA).
+/// free node ids and, optionally, each one's injection and the n x n
+/// conductance matrix of the free nodes, stamped here without
+/// ResistiveNetwork (same construction as ResistiveVsMna, without the MNA).
 ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
                                          std::vector<RNode>* nodes_out,
-                                         std::vector<double>* injections_out = nullptr) {
+                                         std::vector<double>* injections_out = nullptr,
+                                         CsrMatrix* laplacian_out = nullptr) {
   Rng rng(seed);
   ResistiveNetwork net;
+  CooBuilder laplacian(n, n);
   std::vector<RNode> nodes;
   for (std::size_t i = 0; i < n; ++i) {
     nodes.push_back(net.add_node());
   }
   const RNode gnd = net.add_node();
   net.fix_voltage(gnd, 0.0);
+  const auto between = [&](std::size_t i, std::size_t j, double g) {
+    net.add_conductance(nodes[i], nodes[j], g);
+    laplacian.add(i, i, g);
+    laplacian.add(j, j, g);
+    laplacian.add(i, j, -g);
+    laplacian.add(j, i, -g);
+  };
   for (std::size_t i = 0; i + 1 < n; ++i) {
-    net.add_conductance(nodes[i], nodes[i + 1], 1.0 / rng.uniform(100.0, 10e3));
+    between(i, i + 1, 1.0 / rng.uniform(100.0, 10e3));
   }
   for (std::size_t k = 0; k < n; ++k) {
     const auto i = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
     const auto j = static_cast<std::size_t>(rng.uniform_int(0, n - 1));
     if (i != j) {
-      net.add_conductance(nodes[i], nodes[j], 1.0 / rng.uniform(100.0, 10e3));
+      between(i, j, 1.0 / rng.uniform(100.0, 10e3));
     }
   }
   for (std::size_t i = 0; i < n; i += 3) {
-    net.add_conductance(nodes[i], gnd, 1.0 / rng.uniform(1e3, 50e3));
+    const double g = 1.0 / rng.uniform(1e3, 50e3);
+    net.add_conductance(nodes[i], gnd, g);
+    laplacian.add(i, i, g);
   }
   std::vector<double> injections(n, 0.0);
   for (std::size_t i = 0; i < n; i += 2) {
@@ -170,8 +184,39 @@ ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
   if (injections_out != nullptr) {
     *injections_out = injections;
   }
+  if (laplacian_out != nullptr) {
+    *laplacian_out = laplacian.compress();
+  }
   return net;
 }
+
+/// Property: the direct LDL^T solve agrees with tight-tolerance CG on the
+/// same random grounded networks' conductance matrices.
+class FactoredVsCg : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FactoredVsCg, VoltagesAgree) {
+  const std::size_t n = GetParam();
+  std::vector<RNode> nodes;
+  std::vector<double> injections;
+  CsrMatrix laplacian;
+  ResistiveNetwork net = random_grounded_network(n, 900 + n, &nodes, &injections, &laplacian);
+
+  CgOptions tight;
+  tight.tolerance = 1e-13;
+  const CgResult cg = conjugate_gradient(laplacian, injections, tight);
+  ASSERT_TRUE(cg.converged) << "residual " << cg.residual;
+  double scale = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    scale = std::max(scale, std::abs(cg.x[i]));
+  }
+
+  net.solve();
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(net.voltage(nodes[i]), cg.x[i], 1e-9 * scale);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FactoredVsCg, ::testing::Values(3, 10, 40, 120, 400));
 
 TEST(ResistiveNetwork, FactoredSolveTracksInjectionChanges) {
   ResistiveNetwork net;
