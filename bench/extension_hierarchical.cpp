@@ -109,10 +109,16 @@ int main() {
     config.blocks = blocks;
     config.cell_pitch_um = 0.5;  // stress the wires
     config.memristor.write_sigma = 0.0;
-    PartitionedRcm rcm(config, Rng(7));
-    rcm.program(weights);
-    const auto ideal = rcm.column_currents_ideal(inputs);
-    const auto para = rcm.column_currents_parasitic(inputs);
+    // One bank per model, from the same seed: the model does not touch the
+    // write-noise stream, so both hold the same conductances.
+    const auto currents = [&](CrossbarModel model) {
+      config.model = model;
+      PartitionedRcm rcm(config, Rng(7));
+      rcm.program(weights);
+      return rcm.column_currents(inputs);
+    };
+    const auto ideal = currents(CrossbarModel::kIdeal);
+    const auto para = currents(CrossbarModel::kParasitic);
     double err = 0.0;
     for (std::size_t j = 0; j < cols; ++j) {
       err += std::abs(para[j] - ideal[j]) / ideal[j];

@@ -59,9 +59,12 @@ void BM_CrossbarIdeal128x40(benchmark::State& state) {
   RcmConfig config;
   RcmArray rcm(config, Rng(1));
   rcm.program(random_columns(config.rows, config.cols, 2));
+  rcm.prepare();
   std::vector<double> inputs(config.rows, 5e-6);
+  std::vector<double> out(config.cols);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rcm.column_currents_ideal(inputs));
+    rcm.column_currents(inputs.data(), 1, out.data());
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_CrossbarIdeal128x40);
@@ -70,13 +73,17 @@ void BM_CrossbarParasitic(benchmark::State& state, std::size_t rows, std::size_t
   RcmConfig config;
   config.rows = rows;
   config.cols = cols;
+  config.model = CrossbarModel::kParasitic;
   RcmArray rcm(config, Rng(3));
   rcm.program(random_columns(config.rows, config.cols, 4));
+  rcm.prepare();
   std::vector<double> inputs(config.rows, 5e-6);
+  std::vector<double> out(config.cols);
   Rng jitter(5);
   for (auto _ : state) {
     inputs[0] = jitter.uniform(4e-6, 6e-6);
-    benchmark::DoNotOptimize(rcm.column_currents_parasitic(inputs));
+    rcm.column_currents(inputs.data(), 1, out.data());
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK_CAPTURE(BM_CrossbarParasitic, Transfer128x40, 128, 40);

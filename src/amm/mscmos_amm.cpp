@@ -53,6 +53,7 @@ void MsCmosAmm::store_templates(const std::vector<FeatureVector>& templates) {
     columns.push_back(t.analog);
   }
   rcm_->program(columns);
+  rcm_->prepare();
   templates_stored_ = true;
 }
 
@@ -69,7 +70,8 @@ Recognition MsCmosAmm::recognize_one(const FeatureVector& input) const {
   for (std::size_t row = 0; row < input.dimension(); ++row) {
     input_currents[row] = i_in_max * input.analog[row];
   }
-  std::vector<double> columns = rcm_->column_currents_ideal(input_currents);
+  std::vector<double> columns(config_.templates);
+  rcm_->column_currents(input_currents.data(), 1, columns.data());
 
   Recognition out;
   if (columns.size() >= 2) {
@@ -105,8 +107,6 @@ std::vector<Recognition> MsCmosAmm::recognize_batch(const std::vector<FeatureVec
   if (inputs.empty()) {
     return results;
   }
-  // Warm the lazy row-conductance cache before the workers fan out.
-  (void)rcm_->row_conductance(0);
   parallel_for_strided(inputs.size(), threads,
                        [&](std::size_t i) { results[i] = recognize_one(inputs[i]); });
   return results;

@@ -33,6 +33,7 @@ SpinAmm::SpinAmm(const SpinAmmConfig& config) : config_(config), rng_(config.see
   rcm_config.memristor = config.memristor;
   rcm_config.dummy_column = config.dummy_column;
   rcm_config.row_target_conductance = config.row_target_conductance;
+  rcm_config.model = config.model;
   rcm_ = std::make_unique<RcmArray>(rcm_config, rng_.fork());
 
   // The analytic-scale input-DAC bank's stream is forked here, so every
@@ -133,10 +134,10 @@ std::vector<double> SpinAmm::column_currents(const FeatureVector& input) {
           "SpinAmm::column_currents: input dimension mismatch");
 
   const std::vector<double> input_currents = input_row_currents(input);
-  if (config_.model == CrossbarModel::kIdeal) {
-    return rcm_->column_currents_ideal(input_currents);
-  }
-  return rcm_->column_currents_parasitic(input_currents, /*v_bias=*/0.0);
+  rcm_->prepare();
+  std::vector<double> currents(config_.templates);
+  rcm_->column_currents(input_currents.data(), 1, currents.data());
+  return currents;
 }
 
 Recognition SpinAmm::assemble(std::vector<double>&& currents, SpinWtaOutcome&& wta) const {
@@ -196,16 +197,9 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
     return std::chrono::duration<double, std::micro>(b - a).count();
   };
 
-  // Build the crossbar's operator up front: once built, the ideal and the
-  // parasitic transfer operator are both const, so the workers share them.
-  const bool parasitic = config_.model == CrossbarModel::kParasitic;
-  if (parasitic) {
-    rcm_->prepare_parasitic(/*v_bias=*/0.0);
-  } else {
-    rcm_->prepare_ideal();
-  }
-  // Warm the lazy row-conductance cache before the workers fan out.
-  (void)rcm_->row_conductance(0);
+  // Build the crossbar's operator up front: once built it is const, so the
+  // workers share it, and the row-conductance cache the DACs read is warm.
+  rcm_->prepare();
 
   // Workers are sized against the query count; the dispatch below then
   // hands each worker whole chunks of kMinItemsPerThread queries, so one
@@ -245,13 +239,8 @@ std::vector<Recognition> SpinAmm::recognize_batch(const std::vector<FeatureVecto
     }
     const auto t1 = clock->now();
 
-    // Stage 2 — one blocked GEMM against the cached crossbar operator.
-    if (parasitic) {
-      rcm_->column_currents_transfer_batch(input_scratch.data(), qn, chunk_currents,
-                                           /*v_bias=*/0.0);
-    } else {
-      rcm_->column_currents_ideal_batch(input_scratch.data(), qn, chunk_currents);
-    }
+    // Stage 2 — one blocked GEMM against the crossbar's operator.
+    rcm_->column_currents(input_scratch.data(), qn, chunk_currents);
     const auto t2 = clock->now();
     dac_us[c] = elapsed_us(t0, t1);
     gemm_us[c] = elapsed_us(t1, t2);

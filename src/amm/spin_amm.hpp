@@ -29,12 +29,6 @@
 
 namespace spinsim {
 
-/// Which crossbar evaluation path to use.
-enum class CrossbarModel {
-  kIdeal,      ///< closed-form current division (fast; no wire parasitics)
-  kParasitic,  ///< full nodal solve with Cu bar resistance
-};
-
 /// Design/simulation knobs of one SpinAmm instance.
 struct SpinAmmConfig {
   FeatureSpec features;          ///< input/template geometry (16x8, 5-bit)
@@ -45,7 +39,7 @@ struct SpinAmmConfig {
   ReadLatchDesign latch;
   double delta_v = 30e-3;        ///< crossbar bias dV [V]
   double clock = 100e6;          ///< conversion clock [Hz]
-  CrossbarModel model = CrossbarModel::kIdeal;
+  CrossbarModel model = CrossbarModel::kIdeal;  ///< the crossbar's operator (RcmConfig::model)
   /// Algorithm behind kParasitic. kTransfer, one factorization amortized
   /// across all queries, is the only one, so nothing reads this field.
   CrossbarSolver parasitic_solver = CrossbarSolver::kTransfer;
@@ -104,7 +98,8 @@ class SpinAmm : public AssociativeEngine {
   /// (dummy padding included). Must be called before recognize().
   void store_templates(const std::vector<FeatureVector>& templates) override;
 
-  /// Analog front end only: per-column dot-product currents for an input.
+  /// Analog front end only: per-column dot-product currents for an input
+  /// (prepares the crossbar's operator if needed, then a batch of 1).
   std::vector<double> column_currents(const FeatureVector& input);
 
   /// Full recognition: front end + spin WTA. The result's detail holds
@@ -116,8 +111,8 @@ class SpinAmm : public AssociativeEngine {
   /// order. The batch flows through flat rows x batch buffers in chunks
   /// of kMinItemsPerThread queries, each chunk a DAC -> GEMM -> WTA ->
   /// assemble pipeline on one worker: the crossbar stage is one
-  /// register-tiled matrix product (gemm_operator_batch) per chunk against
-  /// the cached ideal or transfer operator, and the WTA stage fans out
+  /// register-tiled matrix product (RcmArray::column_currents) per chunk
+  /// against the crossbar's prepared operator, and the WTA stage fans out
   /// because its thermal noise comes from counter-based per-query streams
   /// (SpinSarWta::run_query_span) rather than one shared sequential draw
   /// order. threads == 0 picks hardware concurrency; last_batch_timing()

@@ -32,17 +32,11 @@ constexpr std::size_t kGemmTile = 4;
 // each row `rows` long, written to c with row stride `cols`. The extents are
 // template arguments so the accumulators stay in registers and every inner
 // loop unrolls. The loop over r stays outermost and sequential: every
-// accumulator sees its offset, then r = 0, 1, ... in order -- the addition
-// sequence of the scalar matvec.
+// accumulator starts at 0.0 and sees r = 0, 1, ... in order -- the
+// addition sequence of the scalar matvec.
 template <std::size_t QN, std::size_t JN>
-void gemm_tile(const double* op, const double* offset, const double* x, std::size_t rows,
-               std::size_t cols, double* c) {
-  double acc[QN][JN];
-  for (std::size_t qi = 0; qi < QN; ++qi) {
-    for (std::size_t ji = 0; ji < JN; ++ji) {
-      acc[qi][ji] = offset != nullptr ? offset[ji] : 0.0;
-    }
-  }
+void gemm_tile(const double* op, const double* x, std::size_t rows, std::size_t cols, double* c) {
+  double acc[QN][JN] = {};
   for (std::size_t r = 0; r < rows; ++r) {
     double a_jr[JN];
     for (std::size_t ji = 0; ji < JN; ++ji) {
@@ -65,24 +59,22 @@ void gemm_tile(const double* op, const double* offset, const double* x, std::siz
 // QN queries against the whole operator: full 4-row tiles, then one tile of
 // the cols % 4 remaining rows.
 template <std::size_t QN>
-void gemm_queries(const double* op, const double* offset, const double* x, std::size_t rows,
-                  std::size_t cols, double* c) {
+void gemm_queries(const double* op, const double* x, std::size_t rows, std::size_t cols,
+                  double* c) {
   const std::size_t full = cols - cols % kGemmTile;
   for (std::size_t j0 = 0; j0 < full; j0 += kGemmTile) {
-    gemm_tile<QN, kGemmTile>(op + j0 * rows, offset != nullptr ? offset + j0 : nullptr, x, rows,
-                             cols, c + j0);
+    gemm_tile<QN, kGemmTile>(op + j0 * rows, x, rows, cols, c + j0);
   }
   const double* op_tail = op + full * rows;
-  const double* offset_tail = offset != nullptr ? offset + full : nullptr;
   switch (cols % kGemmTile) {
     case 1:
-      gemm_tile<QN, 1>(op_tail, offset_tail, x, rows, cols, c + full);
+      gemm_tile<QN, 1>(op_tail, x, rows, cols, c + full);
       break;
     case 2:
-      gemm_tile<QN, 2>(op_tail, offset_tail, x, rows, cols, c + full);
+      gemm_tile<QN, 2>(op_tail, x, rows, cols, c + full);
       break;
     case 3:
-      gemm_tile<QN, 3>(op_tail, offset_tail, x, rows, cols, c + full);
+      gemm_tile<QN, 3>(op_tail, x, rows, cols, c + full);
       break;
     default:
       break;
@@ -91,26 +83,26 @@ void gemm_queries(const double* op, const double* offset, const double* x, std::
 
 }  // namespace
 
-void gemm_operator_batch(const double* op, const double* offset, const double* x,
-                         std::size_t rows, std::size_t cols, std::size_t batch, double* c) {
+void gemm_operator_batch(const double* op, const double* x, std::size_t rows, std::size_t cols,
+                         std::size_t batch, double* c) {
   if (batch == 0 || cols == 0) {
     return;
   }
   const std::size_t full = batch - batch % kGemmTile;
   for (std::size_t q0 = 0; q0 < full; q0 += kGemmTile) {
-    gemm_queries<kGemmTile>(op, offset, x + q0 * rows, rows, cols, c + q0 * cols);
+    gemm_queries<kGemmTile>(op, x + q0 * rows, rows, cols, c + q0 * cols);
   }
   const double* x_tail = x + full * rows;
   double* c_tail = c + full * cols;
   switch (batch % kGemmTile) {
     case 1:
-      gemm_queries<1>(op, offset, x_tail, rows, cols, c_tail);
+      gemm_queries<1>(op, x_tail, rows, cols, c_tail);
       break;
     case 2:
-      gemm_queries<2>(op, offset, x_tail, rows, cols, c_tail);
+      gemm_queries<2>(op, x_tail, rows, cols, c_tail);
       break;
     case 3:
-      gemm_queries<3>(op, offset, x_tail, rows, cols, c_tail);
+      gemm_queries<3>(op, x_tail, rows, cols, c_tail);
       break;
     default:
       break;

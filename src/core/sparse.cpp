@@ -1,51 +1,8 @@
 #include "core/sparse.hpp"
 
-#include <algorithm>
 #include <numeric>
 
 namespace spinsim {
-
-std::vector<double> CsrMatrix::multiply(const std::vector<double>& x) const {
-  std::vector<double> y;
-  multiply_into(x, y);
-  return y;
-}
-
-void CsrMatrix::multiply_into(const std::vector<double>& x, std::vector<double>& y) const {
-  require(x.size() == cols_, "CsrMatrix::multiply: dimension mismatch");
-  y.assign(rows(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    double acc = 0.0;
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      acc += values_[k] * x[col_idx_[k]];
-    }
-    y[r] = acc;
-  }
-}
-
-std::vector<double> CsrMatrix::diagonal() const {
-  std::vector<double> d(rows(), 0.0);
-  for (std::size_t r = 0; r < rows(); ++r) {
-    for (std::size_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k) {
-      if (col_idx_[k] == r) {
-        d[r] = values_[k];
-        break;
-      }
-    }
-  }
-  return d;
-}
-
-double CsrMatrix::at(std::size_t r, std::size_t c) const {
-  require(r < rows() && c < cols_, "CsrMatrix::at: index out of range");
-  const auto begin = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r]);
-  const auto end = col_idx_.begin() + static_cast<std::ptrdiff_t>(row_ptr_[r + 1]);
-  const auto it = std::lower_bound(begin, end, c);
-  if (it == end || *it != c) {
-    return 0.0;
-  }
-  return values_[static_cast<std::size_t>(it - col_idx_.begin())];
-}
 
 void CooBuilder::add(std::size_t r, std::size_t c, double value) {
   SPINSIM_ASSERT(r < rows_ && c < cols_, "CooBuilder::add: index out of range");

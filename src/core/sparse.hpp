@@ -25,18 +25,6 @@ class CsrMatrix {
   std::size_t cols() const { return cols_; }
   std::size_t nnz() const { return values_.size(); }
 
-  /// y = A * x.
-  std::vector<double> multiply(const std::vector<double>& x) const;
-
-  /// y = A * x without allocating (y is resized as needed).
-  void multiply_into(const std::vector<double>& x, std::vector<double>& y) const;
-
-  /// Diagonal entries (0.0 where the diagonal is structurally absent).
-  std::vector<double> diagonal() const;
-
-  /// Dense element access (O(log nnz_row)); intended for tests.
-  double at(std::size_t r, std::size_t c) const;
-
   const std::vector<std::size_t>& row_ptr() const { return row_ptr_; }
   const std::vector<std::size_t>& col_idx() const { return col_idx_; }
   const std::vector<double>& values() const { return values_; }

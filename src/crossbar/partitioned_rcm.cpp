@@ -14,6 +14,7 @@ PartitionedRcm::PartitionedRcm(const PartitionedRcmConfig& config, Rng rng) : co
   block_config.memristor = config.memristor;
   block_config.wire_res_per_um = config.wire_res_per_um;
   block_config.cell_pitch_um = config.cell_pitch_um;
+  block_config.model = config.model;
   for (std::size_t b = 0; b < config.blocks; ++b) {
     blocks_.push_back(std::make_unique<RcmArray>(block_config, rng.fork()));
   }
@@ -32,6 +33,7 @@ void PartitionedRcm::program(const std::vector<std::vector<double>>& columns) {
       }
     }
     blocks_[b]->program(slice);
+    blocks_[b]->prepare();
   }
   programmed_ = true;
 }
@@ -42,37 +44,16 @@ double PartitionedRcm::row_conductance(std::size_t row) const {
   return blocks_[row / rpb]->row_conductance(row % rpb);
 }
 
-std::vector<double> PartitionedRcm::column_currents_ideal(
+std::vector<double> PartitionedRcm::column_currents(
     const std::vector<double>& input_currents) const {
   require(programmed_, "PartitionedRcm: program() before evaluation");
   require(input_currents.size() == config_.rows,
-          "PartitionedRcm::column_currents_ideal: need one current per row");
+          "PartitionedRcm::column_currents: need one current per row");
   const std::size_t rpb = config_.rows_per_block();
   std::vector<double> totals(config_.cols, 0.0);
+  std::vector<double> partial(config_.cols);
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const std::vector<double> slice(input_currents.begin() + static_cast<std::ptrdiff_t>(b * rpb),
-                                    input_currents.begin() +
-                                        static_cast<std::ptrdiff_t>((b + 1) * rpb));
-    const std::vector<double> partial = blocks_[b]->column_currents_ideal(slice);
-    for (std::size_t j = 0; j < config_.cols; ++j) {
-      totals[j] += partial[j];
-    }
-  }
-  return totals;
-}
-
-std::vector<double> PartitionedRcm::column_currents_parasitic(
-    const std::vector<double>& input_currents, double v_bias) {
-  require(programmed_, "PartitionedRcm: program() before evaluation");
-  require(input_currents.size() == config_.rows,
-          "PartitionedRcm::column_currents_parasitic: need one current per row");
-  const std::size_t rpb = config_.rows_per_block();
-  std::vector<double> totals(config_.cols, 0.0);
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    const std::vector<double> slice(input_currents.begin() + static_cast<std::ptrdiff_t>(b * rpb),
-                                    input_currents.begin() +
-                                        static_cast<std::ptrdiff_t>((b + 1) * rpb));
-    const std::vector<double> partial = blocks_[b]->column_currents_parasitic(slice, v_bias);
+    blocks_[b]->column_currents(input_currents.data() + b * rpb, 1, partial.data());
     for (std::size_t j = 0; j < config_.cols; ++j) {
       totals[j] += partial[j];
     }

@@ -27,6 +27,7 @@ struct PartitionedRcmConfig {
   MemristorSpec memristor;
   double wire_res_per_um = 1.0;
   double cell_pitch_um = 0.1;
+  CrossbarModel model = CrossbarModel::kIdeal;  ///< every block's operator
 
   std::size_t rows_per_block() const { return rows / blocks; }
 };
@@ -42,19 +43,17 @@ class PartitionedRcm {
   std::size_t blocks() const { return blocks_.size(); }
 
   /// Programs all templates; `columns[j]` holds template j's `rows`
-  /// weights, sliced row-wise across the blocks.
+  /// weights, sliced row-wise across the blocks. Then prepares every
+  /// block's operator.
   void program(const std::vector<std::vector<double>>& columns);
 
   /// Total conductance on logical input bar `row` (within its block).
   double row_conductance(std::size_t row) const;
 
-  /// Ideal column currents: per-block current division, summed.
-  std::vector<double> column_currents_ideal(const std::vector<double>& input_currents) const;
-
-  /// Parasitic column currents: per-block nodal solves, summed. The
-  /// blocks' shorter bars are where the IR-drop advantage appears.
-  std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents,
-                                                double v_bias = 0.0);
+  /// Column currents: each block's operator applied to its slice of the
+  /// inputs, summed in block order. Under the parasitic model the blocks'
+  /// shorter bars are where the IR-drop advantage appears.
+  std::vector<double> column_currents(const std::vector<double>& input_currents) const;
 
   /// Access to an individual block (inspection, tests).
   const RcmArray& block(std::size_t index) const;

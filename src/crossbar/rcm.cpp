@@ -125,7 +125,7 @@ void RcmArray::attach_substrate(std::shared_ptr<CrossbarSubstrate> substrate,
     }
   }
   row_sums_dirty_ = true;
-  invalidate_parasitic_cache();
+  invalidate_operator();
 }
 
 void RcmArray::program_cell_unchecked(std::size_t row, std::size_t col, std::size_t level) {
@@ -178,7 +178,7 @@ void RcmArray::program_column(std::size_t col, const std::vector<double>& weight
     ++columns_touched_;
   }
   row_sums_dirty_ = true;
-  invalidate_parasitic_cache();
+  invalidate_operator();
 }
 
 void RcmArray::program_cell(std::size_t row, std::size_t col, double weight) {
@@ -186,7 +186,7 @@ void RcmArray::program_cell(std::size_t row, std::size_t col, double weight) {
   program_cell_unchecked(row, col, config_.memristor.weight_to_level(weight));
   ++columns_touched_;
   row_sums_dirty_ = true;
-  invalidate_parasitic_cache();
+  invalidate_operator();
 }
 
 void RcmArray::program(const std::vector<std::vector<double>>& columns) {
@@ -215,6 +215,7 @@ void RcmArray::ensure_row_sums() const {
 }
 
 void RcmArray::equalize_rows() {
+  invalidate_operator();
   if (!config_.dummy_column) {
     dummy_g_.assign(config_.rows, 0.0);
     return;
@@ -237,7 +238,6 @@ void RcmArray::equalize_rows() {
     dummy_g_[row] = target - row_sums_[row];
     SPINSIM_ASSERT(dummy_g_[row] > 0.0, "RcmArray::equalize_rows: negative dummy conductance");
   }
-  invalidate_parasitic_cache();
 }
 
 void RcmArray::inject_fault(std::size_t row, std::size_t col, StuckFault fault) {
@@ -266,7 +266,7 @@ void RcmArray::inject_fault(std::size_t row, std::size_t col, StuckFault fault) 
                                                        : MemristorHealth::kStuckShort);
   }
   row_sums_dirty_ = true;
-  invalidate_parasitic_cache();
+  invalidate_operator();
 }
 
 double RcmArray::conductance(std::size_t row, std::size_t col) const {
@@ -280,49 +280,40 @@ double RcmArray::row_conductance(std::size_t row) const {
   return dummy_g_[row] + row_sums_[row];
 }
 
-std::vector<double> RcmArray::column_currents_ideal(
-    const std::vector<double>& input_currents) const {
-  require(input_currents.size() == config_.rows,
-          "RcmArray::column_currents_ideal: need one input current per row");
-  std::vector<double> out(config_.cols, 0.0);
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    const double g_total = row_conductance(row);
-    SPINSIM_ASSERT(g_total > 0.0, "RcmArray: row with zero conductance");
-    const double scale = input_currents[row] / g_total;
-    const Memristor* row_cells = &cells_[row * config_.cols];
-    for (std::size_t col = 0; col < config_.cols; ++col) {
-      out[col] += scale * row_cells[col].conductance();
-    }
-  }
-  return out;
-}
-
-void RcmArray::prepare_ideal() {
-  ensure_row_sums();
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    SPINSIM_ASSERT(dummy_g_[row] + row_sums_[row] > 0.0, "RcmArray: row with zero conductance");
-  }
-  if (ideal_built_) {
+void RcmArray::prepare() {
+  if (op_built_) {
     return;
   }
-  ideal_op_.assign(config_.cols * config_.rows, 0.0);
-  for (std::size_t row = 0; row < config_.rows; ++row) {
-    const Memristor* row_cells = &cells_[row * config_.cols];
-    for (std::size_t col = 0; col < config_.cols; ++col) {
-      ideal_op_[col * config_.rows + row] = row_cells[col].conductance();
+  ensure_row_sums();
+  const std::size_t rows = config_.rows;
+  const std::size_t cols = config_.cols;
+  for (std::size_t row = 0; row < rows; ++row) {
+    SPINSIM_ASSERT(dummy_g_[row] + row_sums_[row] > 0.0, "RcmArray: row with zero conductance");
+  }
+  if (config_.model == CrossbarModel::kParasitic) {
+    op_ = transfer_operator();
+  } else {
+    op_.assign(cols * rows, 0.0);
+    for (std::size_t row = 0; row < rows; ++row) {
+      const Memristor* row_cells = &cells_[row * cols];
+      for (std::size_t col = 0; col < cols; ++col) {
+        op_[col * rows + row] = row_cells[col].conductance();
+      }
     }
   }
-  ideal_built_ = true;
+  op_built_ = true;
 }
 
-void RcmArray::column_currents_ideal_batch(const double* inputs, std::size_t batch,
-                                           double* out) const {
-  require(ideal_built_, "RcmArray::column_currents_ideal_batch: call prepare_ideal() first");
+void RcmArray::column_currents(const double* inputs, std::size_t batch, double* out) const {
+  require(op_built_, "RcmArray::column_currents: call prepare() first");
   const std::size_t rows = config_.rows;
-  // Same current division as column_currents_ideal(): scale each input by
-  // its row's total conductance, then the operator entries are the raw
-  // crosspoint conductances. The scaled copy keeps the division identical
-  // (one divide per (query, row), same operands, same order).
+  if (config_.model == CrossbarModel::kParasitic) {
+    gemm_operator_batch(op_.data(), inputs, rows, config_.cols, batch, out);
+    return;
+  }
+  // Current division: each input over its row's total conductance, then
+  // the raw crosspoint conductances. The quotient is formed as the closed
+  // form writes it (a product with a stored reciprocal rounds differently).
   std::vector<double> scaled(batch * rows);
   for (std::size_t q = 0; q < batch; ++q) {
     const double* in = inputs + q * rows;
@@ -331,12 +322,11 @@ void RcmArray::column_currents_ideal_batch(const double* inputs, std::size_t bat
       s[row] = in[row] / (dummy_g_[row] + row_sums_[row]);
     }
   }
-  gemm_operator_batch(ideal_op_.data(), nullptr, scaled.data(), rows, config_.cols, batch, out);
+  gemm_operator_batch(op_.data(), scaled.data(), rows, config_.cols, batch, out);
 }
 
-void RcmArray::build_parasitic_network(double v_bias) {
-  net_ = std::make_unique<ResistiveNetwork>();
-  transfer_built_ = false;
+std::vector<double> RcmArray::transfer_operator() const {
+  ResistiveNetwork net;
   const std::size_t rows = config_.rows;
   const std::size_t cols = config_.cols;
   const double g_seg = 1.0 / config_.segment_resistance();
@@ -345,126 +335,71 @@ void RcmArray::build_parasitic_network(double v_bias) {
   // per-column terminations and the shared dummy bar. The junctions are
   // eliminated in crossbar_elimination_order(): a nested dissection of the
   // grid, which keeps the factor sparse, with the row inputs and column
-  // outputs last, so the transfer operator's block solves stay inside the
-  // factor's trailing rows + cols columns.
-  const RNode row_base = net_->add_nodes(rows * cols);
-  const RNode col_base = net_->add_nodes(rows * cols);
+  // outputs last, so the operator's block solves stay inside the factor's
+  // trailing rows + cols columns.
+  const RNode row_base = net.add_nodes(rows * cols);
+  const RNode col_base = net.add_nodes(rows * cols);
   const auto row_node = [&](std::size_t i, std::size_t j) { return row_base + i * cols + j; };
   const auto col_node = [&](std::size_t i, std::size_t j) { return col_base + i * cols + j; };
 
-  col_last_nodes_.clear();
-  row_input_nodes_.clear();
-
   // Row bars: input at the left edge (j = 0), segments along the bar.
+  std::vector<RNode> row_inputs;
+  row_inputs.reserve(rows);
   for (std::size_t i = 0; i < rows; ++i) {
-    row_input_nodes_.push_back(row_node(i, 0));
+    row_inputs.push_back(row_node(i, 0));
     for (std::size_t j = 0; j + 1 < cols; ++j) {
-      net_->add_conductance(row_node(i, j), row_node(i, j + 1), g_seg);
+      net.add_conductance(row_node(i, j), row_node(i, j + 1), g_seg);
     }
   }
 
-  // Column bars: segments down the bar, termination pinned at v_bias.
+  // Column bars: segments down the bar, then one segment into the grounded
+  // termination (the DWN clamp).
+  std::vector<RNode> col_outputs;
+  col_outputs.reserve(cols);
   for (std::size_t j = 0; j < cols; ++j) {
     for (std::size_t i = 0; i + 1 < rows; ++i) {
-      net_->add_conductance(col_node(i, j), col_node(i + 1, j), g_seg);
+      net.add_conductance(col_node(i, j), col_node(i + 1, j), g_seg);
     }
-    const RNode term = net_->add_node();
-    net_->fix_voltage(term, v_bias);
-    net_->add_conductance(col_node(rows - 1, j), term, g_seg);
-    col_last_nodes_.push_back(col_node(rows - 1, j));
+    const RNode term = net.add_node();
+    net.ground(term);
+    net.add_conductance(col_node(rows - 1, j), term, g_seg);
+    col_outputs.push_back(col_node(rows - 1, j));
   }
 
   // Crosspoint memristors.
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t j = 0; j < cols; ++j) {
-      net_->add_conductance(row_node(i, j), col_node(i, j),
-                            cells_[i * cols + j].conductance());
+      net.add_conductance(row_node(i, j), col_node(i, j), cells_[i * cols + j].conductance());
     }
   }
 
-  // Dummy devices: from the far end of each row bar to a shared wide bar
-  // held at the same bias (its own wire resistance is negligible).
+  // Dummy devices: from the far end of each row bar to a shared wide bar,
+  // grounded like the terminations (its own wire resistance is negligible).
   if (config_.dummy_column) {
-    const RNode dummy_bar = net_->add_node();
-    net_->fix_voltage(dummy_bar, v_bias);
+    const RNode dummy_bar = net.add_node();
+    net.ground(dummy_bar);
     for (std::size_t i = 0; i < rows; ++i) {
       if (dummy_g_[i] > 0.0) {
-        net_->add_conductance(row_node(i, cols - 1), dummy_bar, dummy_g_[i]);
+        net.add_conductance(row_node(i, cols - 1), dummy_bar, dummy_g_[i]);
       }
     }
   }
-  net_->set_elimination_order(crossbar_elimination_order(rows, cols));
-  net_v_bias_ = v_bias;
-}
+  net.set_elimination_order(crossbar_elimination_order(rows, cols));
 
-void RcmArray::prepare_parasitic(double v_bias) {
-  if (!net_ || net_v_bias_ != v_bias) {
-    build_parasitic_network(v_bias);
-  }
-  if (transfer_built_) {
-    return;
-  }
-  const double g_seg = 1.0 / config_.segment_resistance();
-
-  // Baseline: column currents with no injections (exactly zero for a
-  // uniform bias, but computed so a future non-uniform clamp stays
-  // correct). The termination pin hangs off a single wire segment, so a
-  // column's current is just that segment's current.
-  net_->solve();
-  transfer_offset_.assign(config_.cols, 0.0);
-  for (std::size_t j = 0; j < config_.cols; ++j) {
-    transfer_offset_[j] = (net_->voltage(col_last_nodes_[j]) - v_bias) * g_seg;
-  }
-
-  // By reciprocity T[j][r] = g_seg * dv(col_last_j)/dI(row_input_r): one
+  // A column's current is the current through its last segment, so by
+  // reciprocity T[j][r] = g_seg * dv(col_output_j)/dI(row_input_r): one
   // unit solve per *output* column, and the influence block already comes
-  // in the operator's layout (transfer_[j * rows + r]).
-  transfer_ = net_->influence(col_last_nodes_, row_input_nodes_);
-  for (double& t : transfer_) {
+  // in the operator's layout (op_[j * rows + r]).
+  std::vector<double> transfer = net.influence(col_outputs, row_inputs);
+  for (double& t : transfer) {
     t = g_seg * t;
   }
-  transfer_built_ = true;
+  return transfer;
 }
 
-bool RcmArray::transfer_ready(double v_bias) const {
-  return net_ != nullptr && transfer_built_ && net_v_bias_ == v_bias;
-}
-
-std::vector<double> RcmArray::column_currents_transfer(const std::vector<double>& input_currents,
-                                                       double v_bias) const {
-  require(input_currents.size() == config_.rows,
-          "RcmArray::column_currents_transfer: need one input current per row");
-  require(transfer_ready(v_bias),
-          "RcmArray::column_currents_transfer: call prepare_parasitic() first");
-  std::vector<double> out(config_.cols, 0.0);
-  gemm_operator_batch(transfer_.data(), transfer_offset_.data(), input_currents.data(),
-                      config_.rows, config_.cols, 1, out.data());
-  return out;
-}
-
-void RcmArray::column_currents_transfer_batch(const double* inputs, std::size_t batch,
-                                              double* out, double v_bias) const {
-  require(transfer_ready(v_bias),
-          "RcmArray::column_currents_transfer_batch: call prepare_parasitic() first");
-  gemm_operator_batch(transfer_.data(), transfer_offset_.data(), inputs, config_.rows,
-                      config_.cols, batch, out);
-}
-
-std::vector<double> RcmArray::column_currents_parasitic(
-    const std::vector<double>& input_currents, double v_bias) {
-  require(input_currents.size() == config_.rows,
-          "RcmArray::column_currents_parasitic: need one input current per row");
-  prepare_parasitic(v_bias);
-  return column_currents_transfer(input_currents, v_bias);
-}
-
-void RcmArray::invalidate_parasitic_cache() {
-  net_.reset();
-  transfer_built_ = false;
-  transfer_.clear();
-  transfer_offset_.clear();
-  ideal_built_ = false;
-  ideal_op_.clear();
+void RcmArray::invalidate_operator() {
+  op_built_ = false;
+  op_.clear();
 }
 
 }  // namespace spinsim

@@ -7,15 +7,20 @@
 /// each column collect a current proportional to the input-template dot
 /// product.
 ///
-/// Two evaluation paths:
+/// Every column delivers its current into a spin neuron held at one common
+/// DC clamp (Section 4A, Fig. 9), so every termination sits at the same
+/// potential, taken as ground, and the array is linear in its input
+/// currents: one cols x rows operator per array is the whole model.
 ///  * ideal: current division I(i,j) = I_in(i) g_ij / G_TS(i) summed per
-///    column — the closed form the paper's Section 4A derives, exact when
-///    wire parasitics vanish and all column ends sit at the same bias.
+///    column, the closed form the paper's Section 4A derives, exact when
+///    wire parasitics vanish. The operator is g; each input is divided by
+///    its row's G_TS first.
 ///  * parasitic: the 2 * rows * cols wire-junction network with
 ///    per-segment Cu bar resistance (Table 2: 1 Ohm/um), which produces
-///    the IR-drop margin degradation of Fig. 9. It is linear in the input
-///    currents, so the array factors it once and reads its whole transfer
-///    operator from the factor; a query is then one dense matvec.
+///    the IR-drop margin degradation of Fig. 9. The operator is its
+///    transfer matrix T, read from one factorization of the network.
+/// prepare() builds the configured model's operator; a query is then one
+/// register-tiled GEMM against it.
 ///
 /// A per-row *dummy memristor* pads every row's total conductance G_TS to
 /// a common value so the DTCS-DAC sees a data-independent load (Section
@@ -33,6 +38,12 @@
 #include "device/memristor.hpp"
 
 namespace spinsim {
+
+/// Which operator models the array.
+enum class CrossbarModel {
+  kIdeal,      ///< closed-form current division (fast; no wire parasitics)
+  kParasitic,  ///< transfer matrix of the wire network with Cu bar resistance
+};
 
 /// Geometry and technology of one RCM array.
 struct RcmConfig {
@@ -56,6 +67,8 @@ struct RcmConfig {
   // resistances.
   double wire_res_per_um = 1.0;  ///< [Ohm/um]
   double cell_pitch_um = 0.1;    ///< junction pitch [um]
+
+  CrossbarModel model = CrossbarModel::kIdeal;  ///< operator prepare() builds
 
   /// Wire resistance of one cell-to-cell segment [Ohm].
   double segment_resistance() const { return wire_res_per_um * cell_pitch_um; }
@@ -152,66 +165,22 @@ class RcmArray {
   /// device [S] — the G_TS the DTCS-DAC model needs.
   double row_conductance(std::size_t row) const;
 
-  /// Ideal column dot-product currents for the given per-row input
-  /// currents [A]: I_j = sum_i I_in(i) g_ij / G_TS(i).
-  std::vector<double> column_currents_ideal(const std::vector<double>& input_currents) const;
+  /// Builds the configured model's cols x rows operator in the layout
+  /// gemm_operator_batch reads, and leaves the row-sum cache warm. The
+  /// parasitic model builds and factors its wire network here, reads T
+  /// from the factor (ResistiveNetwork::influence) and frees both. A no-op
+  /// while the operator is current; any reprogram, fault or
+  /// equalize_rows() drops it.
+  void prepare();
 
-  /// Builds (or reuses) the cols x rows ideal operator (the crosspoint
-  /// conductances transposed into GEMM layout) and warms the row-sum
-  /// cache, so column_currents_ideal_batch() becomes callable from const
-  /// contexts (thread-parallel batch dispatch).
-  void prepare_ideal();
-
-  /// True once prepare_ideal() has run (and no reprogramming invalidated
-  /// the operator since).
-  bool ideal_ready() const { return ideal_built_; }
-
-  /// Batched ideal evaluation: `inputs` holds `batch` per-row input
-  /// current vectors back to back (batch x rows), `out` receives batch x
-  /// cols column currents. One register-tiled GEMM (gemm_operator_batch)
-  /// against the cached ideal operator; each query's result is
-  /// bit-identical to column_currents_ideal() on the same inputs. Requires
-  /// ideal_ready(); const and thread-safe (callers may partition the batch
-  /// across threads via pointer offsets).
-  void column_currents_ideal_batch(const double* inputs, std::size_t batch, double* out) const;
-
-  /// Parasitic column currents. Input currents are injected at the left
-  /// edge of each row bar; every column bar terminates at `v_bias` (the
-  /// DWN clamp) at the bottom edge. Returns the current delivered into
-  /// each column termination [A]: prepare_parasitic(v_bias) if needed,
-  /// then column_currents_transfer().
-  std::vector<double> column_currents_parasitic(const std::vector<double>& input_currents,
-                                                double v_bias = 0.0);
-
-  /// Builds (or reuses) the parasitic network, its factorization and the
-  /// transfer operator for `v_bias`: one factored solve for the offset and
-  /// one blocked multi-right-hand-side solve (ResistiveNetwork::influence)
-  /// for the operator. Queries are then pure rows x cols matvecs, and
-  /// column_currents_transfer() becomes callable from const contexts
-  /// (e.g. thread-parallel batch dispatch).
-  void prepare_parasitic(double v_bias = 0.0);
-
-  /// True once prepare_parasitic(v_bias) has run (and nothing invalidated
-  /// the cache since).
-  bool transfer_ready(double v_bias = 0.0) const;
-
-  /// Applies the cached transfer operator: out = I0 + T * in, as
-  /// gemm_operator_batch with a batch of 1. Requires transfer_ready(v_bias);
-  /// const and thread-safe.
-  std::vector<double> column_currents_transfer(const std::vector<double>& input_currents,
-                                               double v_bias = 0.0) const;
-
-  /// Batched transfer evaluation: `inputs` holds `batch` per-row input
-  /// current vectors back to back (batch x rows), `out` receives batch x
-  /// cols column currents. One register-tiled GEMM (gemm_operator_batch)
-  /// against the cached transfer operator; each query's result is
-  /// bit-identical to column_currents_transfer() on the same inputs.
-  /// Requires transfer_ready(v_bias); const and thread-safe.
-  void column_currents_transfer_batch(const double* inputs, std::size_t batch, double* out,
-                                      double v_bias = 0.0) const;
-
-  /// Drops the cached parasitic network (after reprogramming).
-  void invalidate_parasitic_cache();
+  /// Column currents [A] for `batch` per-row input current vectors laid
+  /// back to back in `inputs` (batch x rows); `out` receives batch x cols.
+  /// One GEMM against the prepared operator; the ideal model divides each
+  /// input by its row's G_TS first. A query's result does not depend on
+  /// the batch around it. Throws InvalidArgument unless prepare() has run
+  /// since the last change to the array; const and thread-safe (callers
+  /// may partition a batch across threads via pointer offsets).
+  void column_currents(const double* inputs, std::size_t batch, double* out) const;
 
   // Device-write accounting since construction: physical writes
   // performed, writes avoided by delta reprogramming, and columns that
@@ -223,7 +192,8 @@ class RcmArray {
 
  private:
   void program_cell_unchecked(std::size_t row, std::size_t col, std::size_t level);
-  void build_parasitic_network(double v_bias);
+  std::vector<double> transfer_operator() const;
+  void invalidate_operator();
   void ensure_row_sums() const;
 
   RcmConfig config_;
@@ -245,22 +215,10 @@ class RcmArray {
   mutable std::vector<double> row_sums_;
   mutable bool row_sums_dirty_ = true;
 
-  // Cached parasitic network (topology fixed after programming).
-  std::unique_ptr<ResistiveNetwork> net_;
-  double net_v_bias_ = 0.0;
-  std::vector<RNode> row_input_nodes_;
-  std::vector<RNode> col_last_nodes_;
-
-  // Transfer operator: column currents = transfer_offset_ + T * inputs,
-  // with T stored column-major per output (transfer_[j * rows + r]).
-  bool transfer_built_ = false;
-  std::vector<double> transfer_;
-  std::vector<double> transfer_offset_;
-
-  // Ideal operator in the same GEMM layout (ideal_op_[j * rows + r] =
-  // g_rj), built by prepare_ideal() and dropped on any reprogramming.
-  bool ideal_built_ = false;
-  std::vector<double> ideal_op_;
+  // The model's operator, op_[j * rows + r]: g_rj for the ideal model,
+  // T[j][r] for the parasitic one. Built by prepare().
+  bool op_built_ = false;
+  std::vector<double> op_;
 };
 
 }  // namespace spinsim

@@ -2,14 +2,16 @@
 /// Heap-allocation budgets of the hot paths.
 ///
 /// This binary replaces the global operator new/delete with counting
-/// versions, which is why it is a test directory of its own: the count
-/// sees every allocation in the process. Each test therefore warms any
-/// lazy state first, then reads the count around one single-threaded
-/// call.
+/// versions, which is why it is a test directory of its own: the counts
+/// see every allocation in the process, and the bytes it still holds.
+/// Each test therefore warms any lazy state first, then reads a count
+/// around one single-threaded call.
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdlib>
 #include <new>
 #include <vector>
@@ -18,14 +20,30 @@
 #include "amm/spin_amm.hpp"
 #include "core/error.hpp"
 #include "core/random.hpp"
+#include "crossbar/rcm.hpp"
 #include "datapath/dtcs_dac.hpp"
 #include "support/random_features.hpp"
+#include "support/random_weights.hpp"
 
 namespace {
 
 std::atomic<std::size_t> g_allocations{0};
+std::atomic<std::ptrdiff_t> g_live_bytes{0};
 
 std::size_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+/// Bytes allocated through operator new and not yet deleted, counted as
+/// the allocator's usable size of each block.
+std::ptrdiff_t live_bytes() { return g_live_bytes.load(std::memory_order_relaxed); }
+
+std::ptrdiff_t usable_bytes(void* p) { return static_cast<std::ptrdiff_t>(malloc_usable_size(p)); }
+
+void release(void* p) noexcept {
+  if (p != nullptr) {
+    g_live_bytes.fetch_sub(usable_bytes(p), std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 
 }  // namespace
 
@@ -35,12 +53,13 @@ std::size_t allocations() { return g_allocations.load(std::memory_order_relaxed)
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    g_live_bytes.fetch_add(usable_bytes(p), std::memory_order_relaxed);
     return p;
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace spinsim {
 namespace {
@@ -145,6 +164,27 @@ TEST(AllocBudget, SpinRecognizeBatchAllocatesFewerThanEightPerQuery) {
   ASSERT_EQ(results.size(), queries.size());
   EXPECT_LT(used, 8 * queries.size()) << used << " allocations for " << queries.size()
                                       << " queries";
+}
+
+TEST(AllocBudget, PreparedParasiticArrayHoldsOnlyItsOperator) {
+  // A spin-bulk shard's 64 x 80 parasitic crossbar. prepare() factors its
+  // 10,240-junction wire network (megabytes of factor), reads the 80 x 64
+  // transfer operator out of it and frees the rest: the array may keep
+  // no more than twice the operator's 40 KB.
+  RcmConfig config;
+  config.rows = 64;
+  config.cols = 80;
+  config.model = CrossbarModel::kParasitic;
+  RcmArray array(config, Rng(5));
+  array.program(testing::random_columns(config.rows, config.cols, 6));
+  (void)array.row_conductance(0);  // the row-sum cache
+
+  const std::ptrdiff_t before = live_bytes();
+  array.prepare();
+  const std::ptrdiff_t held = live_bytes() - before;
+  const auto operator_bytes =
+      static_cast<std::ptrdiff_t>(config.rows * config.cols * sizeof(double));
+  EXPECT_LE(held, 2 * operator_bytes) << held << " bytes held after prepare()";
 }
 
 }  // namespace

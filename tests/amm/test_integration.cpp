@@ -7,6 +7,7 @@
 #include "amm/digital_amm.hpp"
 #include "amm/evaluation.hpp"
 #include "amm/spin_amm.hpp"
+#include "support/column_currents.hpp"
 #include "support/shared_dataset.hpp"
 #include "wta/ideal_wta.hpp"
 
@@ -129,6 +130,7 @@ TEST(Integration, LowerDeltaVDegradesParasiticMargin) {
   rc.cols = 6;
   rc.wire_res_per_um = 50.0;
   rc.memristor.write_sigma = 0.0;
+  rc.model = CrossbarModel::kParasitic;
   RcmArray rcm(rc, Rng(31));
   Rng rng(32);
   std::vector<std::vector<double>> w(6, std::vector<double>(24));
@@ -143,7 +145,7 @@ TEST(Integration, LowerDeltaVDegradesParasiticMargin) {
   for (auto& v : inputs) {
     v = rng.uniform(2e-6, 10e-6);
   }
-  const auto strong = rcm.column_currents_parasitic(inputs);
+  const auto strong = testing::column_currents(rcm, inputs);
   // Margins are relative, so pure current scaling preserves them; the
   // physical dV effect enters through the DAC non-linearity, checked in
   // the DAC tests. Here we verify the parasitic solver's linearity.
@@ -151,7 +153,7 @@ TEST(Integration, LowerDeltaVDegradesParasiticMargin) {
   for (auto& v : weak_inputs) {
     v *= 0.1;
   }
-  const auto weak = rcm.column_currents_parasitic(weak_inputs);
+  const auto weak = testing::column_currents(rcm, weak_inputs);
   for (std::size_t j = 0; j < strong.size(); ++j) {
     EXPECT_NEAR(weak[j] * 10.0, strong[j], std::abs(strong[j]) * 1e-6);
   }

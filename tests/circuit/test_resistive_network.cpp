@@ -10,33 +10,49 @@
 #include "core/sparse.hpp"
 #include "crossbar/rcm.hpp"
 #include "support/cg.hpp"
+#include "support/dense_matrix.hpp"
+#include "support/lu.hpp"
 #include "support/mna.hpp"
 
 namespace spinsim {
 namespace {
 
+/// Voltages v = W * I of `nodes` for the currents `injections[k]` into
+/// `nodes[k]`, where W is the network's influence block over `nodes`.
+std::vector<double> voltages(ResistiveNetwork& net, const std::vector<RNode>& nodes,
+                             const std::vector<double>& injections) {
+  const std::vector<double> w = net.influence(nodes, nodes);
+  std::vector<double> v(nodes.size(), 0.0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    for (std::size_t c = 0; c < nodes.size(); ++c) {
+      v[i] += w[i * nodes.size() + c] * injections[c];
+    }
+  }
+  return v;
+}
+
 TEST(ResistiveNetwork, SimpleDivider) {
+  // A current into the top of a 1k / 3k divider whose bottom is grounded:
+  // the middle sits at 3/4 of the top's voltage.
   ResistiveNetwork net;
   const RNode top = net.add_node();
   const RNode mid = net.add_node();
   const RNode bot = net.add_node();
-  net.fix_voltage(top, 1.0);
-  net.fix_voltage(bot, 0.0);
+  net.ground(bot);
   net.add_conductance(top, mid, 1.0 / 1e3);
   net.add_conductance(mid, bot, 1.0 / 3e3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(mid), 0.75, 1e-9);
+  const std::vector<double> w = net.influence({mid, top}, {top});
+  EXPECT_NEAR(w[0] / w[1], 0.75, 1e-9);
 }
 
 TEST(ResistiveNetwork, CurrentInjection) {
   ResistiveNetwork net;
   const RNode n = net.add_node();
   const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
+  net.ground(gnd);
   net.add_conductance(n, gnd, 1.0 / 500.0);
-  net.set_injection(n, 2e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 1.0, 1e-9);
+  // 2 mA into 500 Ohm.
+  EXPECT_NEAR(net.influence({n}, {n})[0] * 2e-3, 1.0, 1e-9);
 }
 
 TEST(ResistiveNetwork, RequiresAPin) {
@@ -44,42 +60,11 @@ TEST(ResistiveNetwork, RequiresAPin) {
   const RNode a = net.add_node();
   const RNode b = net.add_node();
   net.add_conductance(a, b, 1.0);
-  EXPECT_THROW(net.solve(), InvalidArgument);
+  EXPECT_THROW(net.influence({a}, {a}), InvalidArgument);
 }
 
-TEST(ResistiveNetwork, InjectionUpdatesWithoutRebuild) {
-  ResistiveNetwork net;
-  const RNode n = net.add_node();
-  const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
-  net.add_conductance(n, gnd, 1e-3);
-  net.set_injection(n, 1e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 1.0, 1e-9);
-  net.set_injection(n, 3e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 3.0, 1e-9);
-  net.set_injection(n, 0.0);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 0.0, 1e-9);
-}
-
-TEST(ResistiveNetwork, MultipleDirichletLevels) {
-  // Node between 2 V and 1 V rails through equal conductances sits at 1.5 V.
-  ResistiveNetwork net;
-  const RNode hi = net.add_node();
-  const RNode lo = net.add_node();
-  const RNode mid = net.add_node();
-  net.fix_voltage(hi, 2.0);
-  net.fix_voltage(lo, 1.0);
-  net.add_conductance(hi, mid, 1e-3);
-  net.add_conductance(lo, mid, 1e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(mid), 1.5, 1e-9);
-}
-
-/// Property: the reduced-system solve agrees with the dense MNA on random
-/// grounded resistor networks.
+/// Property: the reduced system's influence block agrees with the dense
+/// MNA on random grounded resistor networks.
 class ResistiveVsMna : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(ResistiveVsMna, VoltagesAgree) {
@@ -95,7 +80,7 @@ TEST_P(ResistiveVsMna, VoltagesAgree) {
     fast_nodes.push_back(fast.add_node());
   }
   const RNode fast_gnd = fast.add_node();
-  fast.fix_voltage(fast_gnd, 0.0);
+  fast.ground(fast_gnd);
 
   // Random connected-ish topology: chain + random chords + ground leaks.
   for (std::size_t i = 0; i + 1 < n; ++i) {
@@ -119,23 +104,23 @@ TEST_P(ResistiveVsMna, VoltagesAgree) {
     fast.add_conductance(fast_nodes[i], fast_gnd, 1.0 / r);
   }
   // Random current injections.
+  std::vector<double> injections(n, 0.0);
   for (std::size_t i = 0; i < n; i += 2) {
-    const double amps = rng.uniform(-1e-3, 1e-3);
-    mna.add_current_source(kGround, mna_nodes[i], amps);
-    fast.set_injection(fast_nodes[i], amps);
+    injections[i] = rng.uniform(-1e-3, 1e-3);
+    mna.add_current_source(kGround, mna_nodes[i], injections[i]);
   }
 
   const DcSolution ref = solve_dc(mna);
-  fast.solve();
+  const std::vector<double> v = voltages(fast, fast_nodes, injections);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(fast.voltage(fast_nodes[i]), ref.voltage(mna_nodes[i]), 1e-6);
+    EXPECT_NEAR(v[i], ref.voltage(mna_nodes[i]), 1e-6);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, ResistiveVsMna, ::testing::Values(3, 10, 40, 120, 400));
 
-/// Builds a random grounded resistor network with injections; returns the
-/// free node ids and, optionally, each one's injection and the n x n
+/// Builds a random grounded resistor network; returns the free node ids
+/// and, optionally, a random injection into each and the n x n
 /// conductance matrix of the free nodes, stamped here without
 /// ResistiveNetwork (same construction as ResistiveVsMna, without the MNA).
 ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
@@ -150,7 +135,7 @@ ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
     nodes.push_back(net.add_node());
   }
   const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
+  net.ground(gnd);
   const auto between = [&](std::size_t i, std::size_t j, double g) {
     net.add_conductance(nodes[i], nodes[j], g);
     laplacian.add(i, i, g);
@@ -176,7 +161,6 @@ ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
   std::vector<double> injections(n, 0.0);
   for (std::size_t i = 0; i < n; i += 2) {
     injections[i] = rng.uniform(-1e-3, 1e-3);
-    net.set_injection(nodes[i], injections[i]);
   }
   if (nodes_out != nullptr) {
     *nodes_out = nodes;
@@ -190,8 +174,8 @@ ResistiveNetwork random_grounded_network(std::size_t n, std::uint64_t seed,
   return net;
 }
 
-/// Property: the direct LDL^T solve agrees with tight-tolerance CG on the
-/// same random grounded networks' conductance matrices.
+/// Property: v = W * I from the LDL^T factor agrees with tight-tolerance
+/// CG on the same random grounded networks' conductance matrices.
 class FactoredVsCg : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FactoredVsCg, VoltagesAgree) {
@@ -210,51 +194,48 @@ TEST_P(FactoredVsCg, VoltagesAgree) {
     scale = std::max(scale, std::abs(cg.x[i]));
   }
 
-  net.solve();
+  const std::vector<double> v = voltages(net, nodes, injections);
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(net.voltage(nodes[i]), cg.x[i], 1e-9 * scale);
+    EXPECT_NEAR(v[i], cg.x[i], 1e-9 * scale);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FactoredVsCg, ::testing::Values(3, 10, 40, 120, 400));
 
-TEST(ResistiveNetwork, FactoredSolveTracksInjectionChanges) {
-  ResistiveNetwork net;
-  const RNode n = net.add_node();
-  const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
-  net.add_conductance(n, gnd, 1e-3);
-  net.set_injection(n, 1e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 1.0, 1e-12);
-  net.set_injection(n, 3e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 3.0, 1e-12);
-}
-
 TEST(ResistiveNetwork, FactoredSolveTracksStructureChanges) {
   ResistiveNetwork net;
   const RNode n = net.add_node();
   const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
+  net.ground(gnd);
   net.add_conductance(n, gnd, 1e-3);
-  net.set_injection(n, 1e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 1.0, 1e-12);
-  net.add_conductance(n, gnd, 1e-3);  // refactorizes on the next solve
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 0.5, 1e-12);
+  EXPECT_NEAR(net.influence({n}, {n})[0] * 1e-3, 1.0, 1e-12);
+  net.add_conductance(n, gnd, 1e-3);  // refactorizes on the next influence()
+  EXPECT_NEAR(net.influence({n}, {n})[0] * 1e-3, 0.5, 1e-12);
 }
 
 TEST(ResistiveNetwork, InfluenceMatchesFiniteDifference) {
   // Every entry dv(observe[j])/dI(inject[c]) of the influence block must
   // equal the voltage change per unit injected current measured by two
-  // solves.
+  // dense LU solves of the conductance matrix the test stamps itself.
+  const std::size_t n = 30;
   std::vector<RNode> nodes;
   std::vector<double> injections;
-  ResistiveNetwork net = random_grounded_network(30, 77, &nodes, &injections);
-  const std::vector<RNode> observe = {nodes[7], nodes[2]};
+  CsrMatrix laplacian;
+  ResistiveNetwork net = random_grounded_network(n, 77, &nodes, &injections, &laplacian);
+  Matrix dense(n, n, 0.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t k = laplacian.row_ptr()[r]; k < laplacian.row_ptr()[r + 1]; ++k) {
+      dense(r, laplacian.col_idx()[k]) = laplacian.values()[k];
+    }
+  }
+  const LuDecomposition lu(dense);
+
+  const std::vector<std::size_t> observed = {7, 2};
   const std::vector<std::size_t> poked = {19, 7, 0};
+  std::vector<RNode> observe;
+  for (const std::size_t k : observed) {
+    observe.push_back(nodes[k]);
+  }
   std::vector<RNode> poke;
   for (const std::size_t k : poked) {
     poke.push_back(nodes[k]);
@@ -263,20 +244,16 @@ TEST(ResistiveNetwork, InfluenceMatchesFiniteDifference) {
   ASSERT_EQ(w.size(), observe.size() * poke.size());
 
   const double delta = 1e-6;
+  const std::vector<double> v0 = lu.solve(injections);
   for (std::size_t c = 0; c < poke.size(); ++c) {
-    net.solve();
-    std::vector<double> v0;
-    for (const RNode o : observe) {
-      v0.push_back(net.voltage(o));
-    }
-    net.set_injection(poke[c], injections[poked[c]] + delta);
-    net.solve();
+    std::vector<double> poked_injections = injections;
+    poked_injections[poked[c]] += delta;
+    const std::vector<double> v1 = lu.solve(poked_injections);
     for (std::size_t j = 0; j < observe.size(); ++j) {
-      const double dv_di = (net.voltage(observe[j]) - v0[j]) / delta;
+      const double dv_di = (v1[observed[j]] - v0[observed[j]]) / delta;
       const double wjc = w[j * poke.size() + c];
       EXPECT_NEAR(wjc, dv_di, 1e-6 * std::abs(wjc) + 1e-15) << "j = " << j << ", c = " << c;
     }
-    net.set_injection(poke[c], injections[poked[c]]);
   }
 }
 
@@ -284,7 +261,7 @@ TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
   ResistiveNetwork net;
   const RNode n = net.add_node();
   const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
+  net.ground(gnd);
   net.add_conductance(n, gnd, 1e-3);
   // Rows observe {gnd, n}, columns inject into {n, gnd}: only (n, n) is
   // free at both ends.
@@ -296,26 +273,9 @@ TEST(ResistiveNetwork, InfluenceOfPinnedNodeIsZero) {
   EXPECT_EQ(w[3], 0.0);
 }
 
-TEST(ResistiveNetwork, StructureChangeInvalidatesSolution) {
-  // Querying voltages after a mutation must force a re-solve (the stale
-  // solution would otherwise be read out of bounds for a node added after
-  // the last solve).
-  ResistiveNetwork net;
-  const RNode n = net.add_node();
-  const RNode gnd = net.add_node();
-  net.fix_voltage(gnd, 0.0);
-  net.add_conductance(n, gnd, 1e-3);
-  net.solve();
-  const RNode late = net.add_node();
-  net.fix_voltage(late, 1.0);
-  EXPECT_THROW(net.voltage(late), InvalidArgument);
-  net.add_conductance(late, n, 1e-3);
-  net.solve();
-  EXPECT_NEAR(net.voltage(n), 0.5, 1e-12);
-}
-
 TEST(ResistiveNetwork, LargeGridSolves) {
-  // 50x50 resistor grid, corners pinned: a smoke test of the solve at scale.
+  // 50x50 resistor grid, one corner grounded and a current into the
+  // opposite one: a smoke test of the factorization at scale.
   ResistiveNetwork net;
   const std::size_t n = 50;
   const RNode base = net.add_nodes(n * n);
@@ -330,24 +290,14 @@ TEST(ResistiveNetwork, LargeGridSolves) {
       }
     }
   }
-  net.fix_voltage(node(0, 0), 1.0);
-  net.fix_voltage(node(n - 1, n - 1), 0.0);
-  net.solve();
-  // Interior voltages must lie strictly between the rails (maximum principle).
-  const double v_mid = net.voltage(node(n / 2, n / 2));
-  EXPECT_GT(v_mid, 0.0);
-  EXPECT_LT(v_mid, 1.0);
-  EXPECT_NEAR(v_mid, 0.5, 0.05);  // symmetric grid
-}
-
-/// Free-node voltages of `net` after one solve.
-std::vector<double> solved_voltages(ResistiveNetwork& net, const std::vector<RNode>& nodes) {
-  net.solve();
-  std::vector<double> v;
-  for (const RNode node : nodes) {
-    v.push_back(net.voltage(node));
-  }
-  return v;
+  net.ground(node(n - 1, n - 1));
+  const std::vector<double> w = net.influence({node(n / 2, n / 2), node(0, 0)}, {node(0, 0)});
+  // Interior voltages lie strictly between the two corners' (maximum
+  // principle).
+  const double mid_over_corner = w[0] / w[1];
+  EXPECT_GT(mid_over_corner, 0.0);
+  EXPECT_LT(mid_over_corner, 1.0);
+  EXPECT_NEAR(mid_over_corner, 0.5, 0.05);  // symmetric grid
 }
 
 /// Largest |a - b| over the largest |b|.
@@ -362,15 +312,16 @@ double max_relative_deviation(const std::vector<double>& a, const std::vector<do
 }
 
 // The elimination-order contract of set_elimination_order(), on a random
-// 40-node network whose node 40 is the pinned ground.
+// 40-node network whose node 40 is the ground.
 constexpr std::size_t kOrderNodes = 40;
 
 TEST(ResistiveNetwork, EliminationOrderGivesTheNaturalOrdersVoltages) {
   std::vector<RNode> nodes;
-  ResistiveNetwork natural = random_grounded_network(kOrderNodes, 31, &nodes);
-  const std::vector<double> expected = solved_voltages(natural, nodes);
+  std::vector<double> injections;
+  ResistiveNetwork natural = random_grounded_network(kOrderNodes, 31, &nodes, &injections);
+  const std::vector<double> expected = voltages(natural, nodes, injections);
 
-  // Reversed; interleaved from both ends; reversed with the ground pin
+  // Reversed; interleaved from both ends; reversed with the ground node
   // listed first, in the middle and last, where it is skipped.
   const RNode gnd = kOrderNodes;
   std::vector<RNode> reversed(nodes.rbegin(), nodes.rend());
@@ -386,7 +337,7 @@ TEST(ResistiveNetwork, EliminationOrderGivesTheNaturalOrdersVoltages) {
   for (const auto* order : {&reversed, &interleaved, &with_pins}) {
     ResistiveNetwork net = random_grounded_network(kOrderNodes, 31, nullptr);
     net.set_elimination_order(*order);
-    EXPECT_LT(max_relative_deviation(solved_voltages(net, nodes), expected), 1e-12);
+    EXPECT_LT(max_relative_deviation(voltages(net, nodes, injections), expected), 1e-12);
   }
 }
 
@@ -403,18 +354,18 @@ TEST(ResistiveNetwork, EliminationOrderRejectsABadOrder) {
   swapped[9] = nodes[5];
   for (const auto* order : {&unknown, &missing, &repeated, &swapped}) {
     net.set_elimination_order(*order);
-    EXPECT_THROW(net.solve(), InvalidArgument);
+    EXPECT_THROW(net.influence(nodes, nodes), InvalidArgument);
   }
-  // A valid order afterwards factors and solves as usual.
+  // A valid order afterwards factors as usual.
   net.set_elimination_order(nodes);
-  EXPECT_NO_THROW(net.solve());
+  EXPECT_NO_THROW(net.influence(nodes, nodes));
 }
 
 TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
-  // The parasitic 64x160 crossbar in RcmArray::build_parasitic_network's
-  // layout: row bars driven from the left edge, column bars ending in a
-  // pinned termination, a memristor at every crosspoint, and a dummy
-  // device from each row's far end to a pinned dummy bar. A banded order
+  // The parasitic 64x160 crossbar in RcmArray::prepare's layout: row bars
+  // driven from the left edge, column bars ending in a grounded
+  // termination, a memristor at every crosspoint, and a dummy device from
+  // each row's far end to a grounded dummy bar. A banded order
   // leaves 2,253,506 factor entries and a dissection of the graph alone
   // 702,151; the crossbar's own grid dissection about half that.
   const std::size_t rows = 64;
@@ -436,7 +387,7 @@ TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
       net.add_conductance(col_node(i, j), col_node(i + 1, j), g_seg);
     }
     const RNode term = net.add_node();
-    net.fix_voltage(term, 0.0);
+    net.ground(term);
     net.add_conductance(col_node(rows - 1, j), term, g_seg);
   }
   for (std::size_t i = 0; i < rows; ++i) {
@@ -445,12 +396,12 @@ TEST(ResistiveNetwork, CrossbarFactorStaysSparse) {
     }
   }
   const RNode dummy_bar = net.add_node();
-  net.fix_voltage(dummy_bar, 0.0);
+  net.ground(dummy_bar);
   for (std::size_t i = 0; i < rows; ++i) {
     net.add_conductance(row_node(i, cols - 1), dummy_bar, 1.0 / rng.uniform(1e3, 32e3));
   }
   net.set_elimination_order(crossbar_elimination_order(rows, cols));
-  net.solve();
+  (void)net.influence({row_node(0, 0)}, {row_node(0, 0)});
   EXPECT_LE(net.factor_nnz(), 450'000u);
 }
 

@@ -185,13 +185,12 @@ INSTANTIATE_TEST_SUITE_P(Sizes, LuRandomSystem, ::testing::Values(1, 2, 5, 16, 4
 // Naive per-query reference for gemm_operator_batch: the exact addition
 // sequence the blocked kernel must reproduce bit for bit.
 std::vector<double> naive_operator_batch(const std::vector<double>& op,
-                                         const double* offset, const std::vector<double>& x,
-                                         std::size_t rows, std::size_t cols,
-                                         std::size_t batch) {
+                                         const std::vector<double>& x, std::size_t rows,
+                                         std::size_t cols, std::size_t batch) {
   std::vector<double> c(batch * cols);
   for (std::size_t q = 0; q < batch; ++q) {
     for (std::size_t j = 0; j < cols; ++j) {
-      double acc = offset != nullptr ? offset[j] : 0.0;
+      double acc = 0.0;
       for (std::size_t r = 0; r < rows; ++r) {
         acc += op[j * rows + r] * x[q * rows + r];
       }
@@ -210,12 +209,8 @@ TEST_P(GemmOperatorBatch, BitIdenticalToNaiveReference) {
   const auto batch = static_cast<std::size_t>(batch_i);
   Rng rng(7 * rows + 13 * cols + 29 * batch);
   std::vector<double> op(cols * rows);
-  std::vector<double> offset(cols);
   std::vector<double> x(batch * rows);
   for (auto& v : op) {
-    v = rng.uniform(-1.0, 1.0);
-  }
-  for (auto& v : offset) {
     v = rng.uniform(-1.0, 1.0);
   }
   for (auto& v : x) {
@@ -223,20 +218,13 @@ TEST_P(GemmOperatorBatch, BitIdenticalToNaiveReference) {
   }
 
   std::vector<double> c(batch * cols, -1.0);
-  gemm_operator_batch(op.data(), offset.data(), x.data(), rows, cols, batch, c.data());
-  const auto ref = naive_operator_batch(op, offset.data(), x, rows, cols, batch);
+  gemm_operator_batch(op.data(), x.data(), rows, cols, batch, c.data());
+  const auto ref = naive_operator_batch(op, x, rows, cols, batch);
   for (std::size_t i = 0; i < c.size(); ++i) {
     // EXPECT_EQ, not EXPECT_NEAR: register blocking must not reassociate
     // the reduction — batched recognition's winners are bit-identical to
     // sequential recognize() only if this holds exactly.
     EXPECT_EQ(c[i], ref[i]) << "element " << i;
-  }
-
-  // Null offset means all-zero offsets, same exactness contract.
-  gemm_operator_batch(op.data(), nullptr, x.data(), rows, cols, batch, c.data());
-  const auto ref0 = naive_operator_batch(op, nullptr, x, rows, cols, batch);
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    EXPECT_EQ(c[i], ref0[i]) << "element " << i;
   }
 }
 
@@ -245,8 +233,7 @@ TEST_P(GemmOperatorBatch, BitIdenticalToNaiveReference) {
 // cover all 16 pairs, with and without full tiles beside the remainder,
 // plus the shapes the workloads run: a spin-bulk shard chunk
 // (64 x 80 x 16), a leaf-churn router batch (128 x 16 x 16), its leaf
-// groups (128 x 5 x 1 and x 2) and a tier-1 call (128 x 20 x 2). Every
-// shape runs with and without an offset.
+// groups (128 x 5 x 1 and x 2) and a tier-1 call (128 x 20 x 2).
 INSTANTIATE_TEST_SUITE_P(Shapes, GemmOperatorBatch,
                          ::testing::Values(std::make_tuple(128, 40, 16),  // (0, 0)
                                            std::make_tuple(8, 8, 8),      // (0, 0)
@@ -273,9 +260,9 @@ TEST(GemmOperatorBatchEdge, ZeroBatchAndZeroColsAreNoOps) {
   const double op[4] = {1.0, 2.0, 3.0, 4.0};
   const double x[2] = {5.0, 6.0};
   double c[2] = {-1.0, -1.0};
-  gemm_operator_batch(op, nullptr, x, 2, 2, 0, c);
+  gemm_operator_batch(op, x, 2, 2, 0, c);
   EXPECT_EQ(c[0], -1.0);  // untouched
-  gemm_operator_batch(op, nullptr, x, 2, 0, 1, c);
+  gemm_operator_batch(op, x, 2, 0, 1, c);
   EXPECT_EQ(c[0], -1.0);
 }
 

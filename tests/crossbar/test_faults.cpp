@@ -6,6 +6,7 @@
 #include "amm/evaluation.hpp"
 #include "amm/spin_amm.hpp"
 #include "crossbar/rcm.hpp"
+#include "support/column_currents.hpp"
 #include "support/shared_dataset.hpp"
 
 namespace spinsim {
@@ -50,9 +51,9 @@ TEST(RcmFaults, ShortFaultStealsRowCurrent) {
   RcmArray rcm(clean_config(), Rng(4));
   rcm.program(mid_weights(8, 4));
   std::vector<double> inputs(8, 4e-6);
-  const auto before = rcm.column_currents_ideal(inputs);
+  const auto before = testing::column_currents(rcm, inputs);
   rcm.inject_fault(0, 3, RcmArray::StuckFault::kShort);
-  const auto after = rcm.column_currents_ideal(inputs);
+  const auto after = testing::column_currents(rcm, inputs);
   // The shorted column grabs more of row 0's current; the other columns
   // lose their share of that row.
   EXPECT_GT(after[3], before[3]);

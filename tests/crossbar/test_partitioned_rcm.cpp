@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include "core/random.hpp"
+#include "support/column_currents.hpp"
 #include "support/random_weights.hpp"
 
 namespace spinsim {
 namespace {
 
+using testing::column_currents;
 using testing::random_columns;
 
 PartitionedRcmConfig clean_config(std::size_t rows = 32, std::size_t cols = 4,
@@ -35,7 +37,7 @@ TEST(PartitionedRcm, BlockCountAndGeometry) {
 
 TEST(PartitionedRcm, EvaluateBeforeProgramThrows) {
   PartitionedRcm p(clean_config(), Rng(3));
-  EXPECT_THROW(p.column_currents_ideal(std::vector<double>(32, 1e-6)), InvalidArgument);
+  EXPECT_THROW(p.column_currents(std::vector<double>(32, 1e-6)), InvalidArgument);
 }
 
 TEST(PartitionedRcm, IdealCurrentsMatchPerBlockClosedForm) {
@@ -49,7 +51,7 @@ TEST(PartitionedRcm, IdealCurrentsMatchPerBlockClosedForm) {
   for (auto& v : inputs) {
     v = rng.uniform(1e-6, 8e-6);
   }
-  const auto totals = p.column_currents_ideal(inputs);
+  const auto totals = p.column_currents(inputs);
 
   for (std::size_t j = 0; j < 3; ++j) {
     double expected = 0.0;
@@ -91,8 +93,8 @@ TEST(PartitionedRcm, MatchesMonolithicIdealEvaluation) {
   part.program(w);
 
   std::vector<double> inputs(rows, 5e-6);
-  const auto mono_currents = mono.column_currents_ideal(inputs);
-  const auto part_currents = part.column_currents_ideal(inputs);
+  const auto mono_currents = column_currents(mono, inputs);
+  const auto part_currents = part.column_currents(inputs);
   // Ranking must agree on a well-separated input.
   const auto rank = [](const std::vector<double>& v) {
     return static_cast<std::size_t>(std::max_element(v.begin(), v.end()) - v.begin());
@@ -111,24 +113,32 @@ TEST(PartitionedRcm, ShorterBarsReduceParasiticError) {
   const std::size_t cols = 6;
   const auto w = random_columns(rows, cols, 12);
 
-  RcmConfig mono_config;
-  mono_config.rows = rows;
-  mono_config.cols = cols;
-  mono_config.memristor.write_sigma = 0.0;
-  mono_config.cell_pitch_um = 0.5;  // exaggerate wire length
-  RcmArray mono(mono_config, Rng(13));
-  mono.program(w);
-
-  PartitionedRcmConfig part_config = clean_config(rows, cols, 8);
-  part_config.cell_pitch_um = 0.5;
-  PartitionedRcm part(part_config, Rng(13));
-  part.program(w);
-
   std::vector<double> inputs(rows, 5e-6);
-  const auto mono_ideal = mono.column_currents_ideal(inputs);
-  const auto mono_para = mono.column_currents_parasitic(inputs);
-  const auto part_ideal = part.column_currents_ideal(inputs);
-  const auto part_para = part.column_currents_parasitic(inputs);
+  // One array per model from the same seed: the model does not touch the
+  // write-noise stream, so both hold the same conductances.
+  const auto mono_currents = [&](CrossbarModel model) {
+    RcmConfig mono_config;
+    mono_config.rows = rows;
+    mono_config.cols = cols;
+    mono_config.memristor.write_sigma = 0.0;
+    mono_config.cell_pitch_um = 0.5;  // exaggerate wire length
+    mono_config.model = model;
+    RcmArray mono(mono_config, Rng(13));
+    mono.program(w);
+    return column_currents(mono, inputs);
+  };
+  const auto part_currents = [&](CrossbarModel model) {
+    PartitionedRcmConfig part_config = clean_config(rows, cols, 8);
+    part_config.cell_pitch_um = 0.5;
+    part_config.model = model;
+    PartitionedRcm part(part_config, Rng(13));
+    part.program(w);
+    return part.column_currents(inputs);
+  };
+  const auto mono_ideal = mono_currents(CrossbarModel::kIdeal);
+  const auto mono_para = mono_currents(CrossbarModel::kParasitic);
+  const auto part_ideal = part_currents(CrossbarModel::kIdeal);
+  const auto part_para = part_currents(CrossbarModel::kParasitic);
 
   double mono_err = 0.0;
   double part_err = 0.0;
@@ -143,23 +153,29 @@ TEST(PartitionedRcm, SingleBlockDegeneratesToMonolithic) {
   const std::size_t rows = 16;
   const std::size_t cols = 3;
   const auto w = random_columns(rows, cols, 14);
-
-  PartitionedRcm part(clean_config(rows, cols, 1), Rng(15));
-  part.program(w);
-  RcmConfig mono_config;
-  mono_config.rows = rows;
-  mono_config.cols = cols;
-  mono_config.memristor.write_sigma = 0.0;
-  RcmArray mono(mono_config, Rng(15));
-  // Note: the partition forks its block RNG once; conductances match the
-  // ideal grid exactly because write noise is off.
-  mono.program(w);
-
   std::vector<double> inputs(rows, 3e-6);
-  const auto a = part.column_currents_ideal(inputs);
-  const auto b = mono.column_currents_ideal(inputs);
-  for (std::size_t j = 0; j < cols; ++j) {
-    EXPECT_NEAR(a[j], b[j], 1e-15);
+
+  for (const CrossbarModel model : {CrossbarModel::kIdeal, CrossbarModel::kParasitic}) {
+    SCOPED_TRACE(model == CrossbarModel::kIdeal ? "ideal" : "parasitic");
+    PartitionedRcmConfig part_config = clean_config(rows, cols, 1);
+    part_config.model = model;
+    PartitionedRcm part(part_config, Rng(15));
+    part.program(w);
+    RcmConfig mono_config;
+    mono_config.rows = rows;
+    mono_config.cols = cols;
+    mono_config.memristor.write_sigma = 0.0;
+    mono_config.model = model;
+    RcmArray mono(mono_config, Rng(15));
+    // Note: the partition forks its block RNG once; conductances match the
+    // ideal grid exactly because write noise is off.
+    mono.program(w);
+
+    const auto a = part.column_currents(inputs);
+    const auto b = column_currents(mono, inputs);
+    for (std::size_t j = 0; j < cols; ++j) {
+      EXPECT_NEAR(a[j], b[j], 1e-15);
+    }
   }
 }
 

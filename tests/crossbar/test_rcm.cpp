@@ -4,9 +4,12 @@
 
 #include "core/random.hpp"
 #include "core/units.hpp"
+#include "support/column_currents.hpp"
 
 namespace spinsim {
 namespace {
+
+using testing::column_currents;
 
 /// Small clean config: no write noise so programmed values hit the grid.
 RcmConfig clean_config(std::size_t rows = 8, std::size_t cols = 4) {
@@ -28,6 +31,19 @@ std::vector<std::vector<double>> random_weights(std::size_t rows, std::size_t co
     }
   }
   return w;
+}
+
+/// Column currents of an array of `config` under `model`, programmed with
+/// `weights` from `seed`. The model does not touch the write-noise stream,
+/// so arrays built from one seed under either model hold the same
+/// conductances.
+std::vector<double> model_currents(RcmConfig config, CrossbarModel model, std::uint64_t seed,
+                                   const std::vector<std::vector<double>>& weights,
+                                   const std::vector<double>& inputs) {
+  config.model = model;
+  RcmArray rcm(config, Rng(seed));
+  rcm.program(weights);
+  return column_currents(rcm, inputs);
 }
 
 TEST(RcmArray, ProgramsToLevelGrid) {
@@ -54,7 +70,7 @@ TEST(RcmArray, IdealCurrentsMatchClosedForm) {
   rcm.program(weights);
 
   std::vector<double> inputs{1e-6, 2e-6, 3e-6, 4e-6};
-  const auto currents = rcm.column_currents_ideal(inputs);
+  const auto currents = column_currents(rcm, inputs);
 
   for (std::size_t j = 0; j < 3; ++j) {
     double expected = 0.0;
@@ -70,7 +86,7 @@ TEST(RcmArray, CurrentConservationInIdealMode) {
   RcmArray rcm(clean_config(8, 4), Rng(6));
   rcm.program(random_weights(8, 4, 7));
   std::vector<double> inputs(8, 5e-6);
-  const auto currents = rcm.column_currents_ideal(inputs);
+  const auto currents = column_currents(rcm, inputs);
   double collected = 0.0;
   for (double i : currents) {
     collected += i;
@@ -93,22 +109,21 @@ TEST(RcmArray, HigherCorrelationGivesHigherCurrent) {
   for (std::size_t i = 0; i < 8; ++i) {
     inputs[i] = pattern[i] * 10e-6;
   }
-  const auto currents = rcm.column_currents_ideal(inputs);
+  const auto currents = column_currents(rcm, inputs);
   EXPECT_GT(currents[0], 2.0 * currents[1]);
 }
 
 TEST(RcmArray, ParasiticApproachesIdealForNegligibleWireResistance) {
   RcmConfig c = clean_config(8, 4);
   c.wire_res_per_um = 1e-6;  // essentially perfect bars
-  RcmArray rcm(c, Rng(9));
-  rcm.program(random_weights(8, 4, 10));
+  const auto weights = random_weights(8, 4, 10);
   std::vector<double> inputs(8);
   Rng rng(11);
   for (auto& i : inputs) {
     i = rng.uniform(0.0, 10e-6);
   }
-  const auto ideal = rcm.column_currents_ideal(inputs);
-  const auto parasitic = rcm.column_currents_parasitic(inputs);
+  const auto ideal = model_currents(c, CrossbarModel::kIdeal, 9, weights, inputs);
+  const auto parasitic = model_currents(c, CrossbarModel::kParasitic, 9, weights, inputs);
   for (std::size_t j = 0; j < 4; ++j) {
     EXPECT_NEAR(parasitic[j], ideal[j], ideal[j] * 1e-3 + 1e-12);
   }
@@ -119,12 +134,10 @@ TEST(RcmArray, WireResistanceDegradesBestColumn) {
   // drops relative to the ideal evaluation.
   RcmConfig c = clean_config(16, 4);
   c.wire_res_per_um = 200.0;  // deliberately brutal
-  RcmArray rcm(c, Rng(12));
   const auto weights = random_weights(16, 4, 13);
-  rcm.program(weights);
   std::vector<double> inputs(16, 8e-6);
-  const auto ideal = rcm.column_currents_ideal(inputs);
-  const auto parasitic = rcm.column_currents_parasitic(inputs);
+  const auto ideal = model_currents(c, CrossbarModel::kIdeal, 12, weights, inputs);
+  const auto parasitic = model_currents(c, CrossbarModel::kParasitic, 12, weights, inputs);
   const std::size_t best = static_cast<std::size_t>(
       std::max_element(ideal.begin(), ideal.end()) - ideal.begin());
   EXPECT_LT(parasitic[best], ideal[best]);
@@ -133,28 +146,15 @@ TEST(RcmArray, WireResistanceDegradesBestColumn) {
 TEST(RcmArray, ParasiticConservesCurrentOrder) {
   // Moderate parasitics must not reorder a strongly separated pair.
   RcmConfig c = clean_config(16, 3);
+  c.model = CrossbarModel::kParasitic;
   RcmArray rcm(c, Rng(14));
   std::vector<std::vector<double>> w(3, std::vector<double>(16, 0.1));
   w[1] = std::vector<double>(16, 0.9);  // dominant column
   rcm.program(w);
   std::vector<double> inputs(16, 8e-6);
-  const auto parasitic = rcm.column_currents_parasitic(inputs);
+  const auto parasitic = column_currents(rcm, inputs);
   EXPECT_GT(parasitic[1], parasitic[0]);
   EXPECT_GT(parasitic[1], parasitic[2]);
-}
-
-TEST(RcmArray, VBiasShiftsAbsoluteVoltagesNotCurrents) {
-  RcmConfig c = clean_config(8, 4);
-  RcmArray rcm(c, Rng(15));
-  rcm.program(random_weights(8, 4, 16));
-  std::vector<double> inputs(8, 5e-6);
-  const auto at_zero = rcm.column_currents_parasitic(inputs, 0.0);
-  const auto at_half = rcm.column_currents_parasitic(inputs, 0.5);
-  for (std::size_t j = 0; j < 4; ++j) {
-    // Tolerance is bounded by the CG residual against the 0.5 V Dirichlet
-    // right-hand side, not by machine precision.
-    EXPECT_NEAR(at_zero[j], at_half[j], std::abs(at_zero[j]) * 1e-4 + 1e-12);
-  }
 }
 
 TEST(RcmArray, WriteNoiseChangesRealisedConductance) {
@@ -179,10 +179,11 @@ TEST(RcmArray, PaperSizeParasiticSolves) {
   RcmConfig c;
   c.rows = 128;
   c.cols = 40;
+  c.model = CrossbarModel::kParasitic;
   RcmArray rcm(c, Rng(20));
   rcm.program(random_weights(128, 40, 21));
   std::vector<double> inputs(128, 5e-6);
-  const auto currents = rcm.column_currents_parasitic(inputs);
+  const auto currents = column_currents(rcm, inputs);
   EXPECT_EQ(currents.size(), 40u);
   for (double i : currents) {
     EXPECT_GT(i, 0.0);

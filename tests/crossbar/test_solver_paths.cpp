@@ -7,14 +7,22 @@
 
 #include "core/random.hpp"
 #include "crossbar/rcm.hpp"
+#include "support/column_currents.hpp"
 #include "support/crossbar_reference.hpp"
 #include "support/random_weights.hpp"
 
 namespace spinsim {
 namespace {
 
+using testing::column_currents;
 using testing::CrossbarReference;
 using testing::random_columns;
+
+/// `config` on the parasitic model.
+RcmConfig parasitic(RcmConfig config) {
+  config.model = CrossbarModel::kParasitic;
+  return config;
+}
 
 std::vector<double> random_inputs(std::size_t rows, std::uint64_t seed) {
   Rng rng(seed);
@@ -40,9 +48,8 @@ double relative_error(const std::vector<double>& test, const std::vector<double>
 
 /// The transfer operator against the independent reference network of
 /// the same array, solved by tight-tolerance CG and by a full direct solve.
-void expect_paths_agree(const RcmConfig& config, std::uint64_t seed, double v_bias,
-                        bool inject_faults, double cg_tolerance = 1e-8) {
-  RcmArray array(config, Rng(seed));
+void expect_paths_agree(const RcmConfig& config, std::uint64_t seed, bool inject_faults) {
+  RcmArray array(parasitic(config), Rng(seed));
   array.program(random_columns(config.rows, config.cols, seed + 1));
   if (inject_faults) {
     array.inject_fault(1, 2, RcmArray::StuckFault::kOpen);
@@ -50,14 +57,14 @@ void expect_paths_agree(const RcmConfig& config, std::uint64_t seed, double v_bi
   }
 
   const std::vector<double> inputs = random_inputs(config.rows, seed + 2);
-  CrossbarReference reference(array, v_bias);
+  CrossbarReference reference(array);
   const std::vector<double> i_cg = reference.currents_cg(inputs);
 
   const std::vector<double> i_direct = reference.currents_direct(inputs);
-  EXPECT_LT(relative_error(i_direct, i_cg), cg_tolerance);
+  EXPECT_LT(relative_error(i_direct, i_cg), 1e-8);
 
-  const std::vector<double> i_transfer = array.column_currents_parasitic(inputs, v_bias);
-  EXPECT_LT(relative_error(i_transfer, i_cg), cg_tolerance);
+  const std::vector<double> i_transfer = column_currents(array, inputs);
+  EXPECT_LT(relative_error(i_transfer, i_cg), 1e-8);
 
   // The direct solve and the transfer operator are both exact (up to
   // roundoff): they must agree with each other much tighter than either
@@ -68,7 +75,7 @@ void expect_paths_agree(const RcmConfig& config, std::uint64_t seed, double v_bi
 TEST(CrossbarSolverPaths, Fig03ConfigurationAgrees) {
   // fig03 runs the default 128x40 paper array.
   RcmConfig config;
-  expect_paths_agree(config, 11, 0.0, /*inject_faults=*/false);
+  expect_paths_agree(config, 11, /*inject_faults=*/false);
 }
 
 TEST(CrossbarSolverPaths, Fig09ResistanceSweepAgrees) {
@@ -80,21 +87,8 @@ TEST(CrossbarSolverPaths, Fig09ResistanceSweepAgrees) {
     config.cols = 20;
     config.memristor.r_min = 1e3 * s;
     config.memristor.r_max = 32e3 * s;
-    expect_paths_agree(config, 13 + static_cast<std::uint64_t>(s * 4), 0.0,
-                       /*inject_faults=*/false);
+    expect_paths_agree(config, 13 + static_cast<std::uint64_t>(s * 4), /*inject_faults=*/false);
   }
-}
-
-TEST(CrossbarSolverPaths, NonZeroBiasAgrees) {
-  // With a nonzero bias the Dirichlet terms dominate the RHS, so the CG
-  // reference's relative-residual stop (1e-10 of ||b||) leaves absolute
-  // errors that are large against the uA-scale signal currents — the
-  // looser bound measures CG's error, not the direct solver's (the two
-  // exact paths still agree to 1e-10 against each other above).
-  RcmConfig config;
-  config.rows = 32;
-  config.cols = 12;
-  expect_paths_agree(config, 17, 30e-3, /*inject_faults=*/false, /*cg_tolerance=*/1e-5);
 }
 
 TEST(CrossbarSolverPaths, NoDummyColumnAgrees) {
@@ -102,62 +96,53 @@ TEST(CrossbarSolverPaths, NoDummyColumnAgrees) {
   config.rows = 48;
   config.cols = 16;
   config.dummy_column = false;
-  expect_paths_agree(config, 19, 0.0, /*inject_faults=*/false);
+  expect_paths_agree(config, 19, /*inject_faults=*/false);
 }
 
 TEST(CrossbarSolverPaths, FaultedCrossbarAgrees) {
   RcmConfig config;
   config.rows = 64;
   config.cols = 20;
-  expect_paths_agree(config, 23, 0.0, /*inject_faults=*/true);
+  expect_paths_agree(config, 23, /*inject_faults=*/true);
 }
 
 TEST(CrossbarSolverPaths, TransferCacheInvalidatedByFault) {
   RcmConfig config;
   config.rows = 16;
   config.cols = 8;
-  RcmArray rcm(config, Rng(29));
+  RcmArray rcm(parasitic(config), Rng(29));
   rcm.program(random_columns(config.rows, config.cols, 30));
   const std::vector<double> inputs = random_inputs(config.rows, 31);
-  const std::vector<double> before = rcm.column_currents_parasitic(inputs);
-  ASSERT_TRUE(rcm.transfer_ready());
+  const std::vector<double> before = column_currents(rcm, inputs);
+  std::vector<double> out(config.cols);
+  ASSERT_NO_THROW(rcm.column_currents(inputs.data(), 1, out.data()));
 
   rcm.inject_fault(3, 4, RcmArray::StuckFault::kOpen);
-  EXPECT_FALSE(rcm.transfer_ready());
-  const std::vector<double> after = rcm.column_currents_parasitic(inputs);
+  EXPECT_THROW(rcm.column_currents(inputs.data(), 1, out.data()), InvalidArgument);
+  const std::vector<double> after = column_currents(rcm, inputs);
   // The open device must actually change the picture (column 4 loses
   // current), proving the operator was rebuilt rather than reused.
   EXPECT_NE(before[4], after[4]);
-}
-
-TEST(CrossbarSolverPaths, TransferCacheInvalidatedByBiasChange) {
-  RcmConfig config;
-  config.rows = 16;
-  config.cols = 8;
-  RcmArray rcm(config, Rng(37));
-  rcm.program(random_columns(config.rows, config.cols, 38));
-  const std::vector<double> inputs = random_inputs(config.rows, 39);
-  (void)rcm.column_currents_parasitic(inputs, 0.0);
-  ASSERT_TRUE(rcm.transfer_ready(0.0));
-  EXPECT_FALSE(rcm.transfer_ready(10e-3));
-
-  const std::vector<double> i_tr = rcm.column_currents_parasitic(inputs, 10e-3);
-  const std::vector<double> i_cg = CrossbarReference(rcm, 10e-3).currents_cg(inputs);
-  // Loose bound for the same reason as NonZeroBiasAgrees: the CG
-  // reference carries the bias-scaled residual error.
-  EXPECT_LT(relative_error(i_tr, i_cg), 1e-5);
 }
 
 TEST(CrossbarSolverPaths, TransferBeforePrepareThrows) {
   RcmConfig config;
   config.rows = 8;
   config.cols = 4;
-  RcmArray rcm(config, Rng(41));
+  RcmArray rcm(parasitic(config), Rng(41));
   rcm.program(random_columns(config.rows, config.cols, 42));
   const std::vector<double> inputs = random_inputs(config.rows, 43);
-  EXPECT_THROW(rcm.column_currents_transfer(inputs), InvalidArgument);
-  rcm.prepare_parasitic();
-  EXPECT_NO_THROW(rcm.column_currents_transfer(inputs));
+  std::vector<double> out(config.cols);
+  EXPECT_THROW(rcm.column_currents(inputs.data(), 1, out.data()), InvalidArgument);
+  rcm.prepare();
+  EXPECT_NO_THROW(rcm.column_currents(inputs.data(), 1, out.data()));
+  // A reprogram or a re-equalisation drops the operator again.
+  rcm.program_column(2, std::vector<double>(config.rows, 0.5));
+  EXPECT_THROW(rcm.column_currents(inputs.data(), 1, out.data()), InvalidArgument);
+  rcm.prepare();
+  EXPECT_NO_THROW(rcm.column_currents(inputs.data(), 1, out.data()));
+  rcm.equalize_rows();
+  EXPECT_THROW(rcm.column_currents(inputs.data(), 1, out.data()), InvalidArgument);
 }
 
 TEST(CrossbarSolverPaths, EliminationOrderPutsTheBoundaryLast) {
@@ -193,15 +178,14 @@ TEST(CrossbarSolverPaths, EliminationOrderPutsTheBoundaryLast) {
       config.rows = rows;
       config.cols = cols;
       config.dummy_column = dummy;
-      RcmArray array(config, Rng(57));
+      RcmArray array(parasitic(config), Rng(57));
       array.program(random_columns(rows, cols, 58));
-      ASSERT_NO_THROW(array.prepare_parasitic()) << "dummy column " << dummy;
+      ASSERT_NO_THROW(array.prepare()) << "dummy column " << dummy;
       CrossbarReference reference(array);
       for (const std::size_t r : {std::size_t{0}, rows - 1}) {
         std::vector<double> unit(rows, 0.0);
         unit[r] = 1.0;
-        EXPECT_LT(relative_error(array.column_currents_transfer(unit),
-                                 reference.currents_direct(unit)),
+        EXPECT_LT(relative_error(column_currents(array, unit), reference.currents_direct(unit)),
                   1e-12)
             << "dummy column " << dummy << ", row " << r;
       }
@@ -272,14 +256,14 @@ TEST(CrossbarSolverPaths, TransferOperatorBitIdentical) {
   RcmConfig config;
   config.rows = 8;
   config.cols = 40;
-  RcmArray rcm(config, Rng(53));
+  RcmArray rcm(parasitic(config), Rng(53));
   rcm.program(random_columns(config.rows, config.cols, 54));
-  rcm.prepare_parasitic();
-  // With zero offset, a unit input on row r reads out column r of T.
+  rcm.prepare();
+  // A unit input on row r reads out column r of T.
   const auto transfer_row = [&](std::size_t r) {
     std::vector<double> unit(config.rows, 0.0);
     unit[r] = 1.0;
-    return rcm.column_currents_transfer(unit);
+    return column_currents(rcm, unit);
   };
   const std::vector<double> first = transfer_row(0);
   const std::vector<double> last = transfer_row(config.rows - 1);

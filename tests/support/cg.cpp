@@ -4,6 +4,7 @@
 
 #include "core/error.hpp"
 #include "core/matrix.hpp"
+#include "support/csr.hpp"
 #include "support/dense_matrix.hpp"
 
 namespace spinsim {
@@ -32,7 +33,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
   // diagonal shows up (shouldn't for a grounded resistive network).
   std::vector<double> inv_diag(n, 1.0);
   if (options.jacobi_preconditioner) {
-    const std::vector<double> d = a.diagonal();
+    const std::vector<double> d = diagonal(a);
     for (std::size_t i = 0; i < n; ++i) {
       inv_diag[i] = (d[i] > 0.0) ? 1.0 / d[i] : 1.0;
     }
@@ -43,7 +44,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
   std::vector<double> p(n);     // search direction
   std::vector<double> ap(n);    // A * p
 
-  a.multiply_into(result.x, ap);
+  multiply_into(a, result.x, ap);
   for (std::size_t i = 0; i < n; ++i) {
     r[i] = b[i] - ap[i];
     z[i] = inv_diag[i] * r[i];
@@ -60,7 +61,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
       return result;
     }
 
-    a.multiply_into(p, ap);
+    multiply_into(a, p, ap);
     const double p_ap = dot(p, ap);
     if (p_ap <= 0.0) {
       throw NumericalError("conjugate_gradient: matrix is not positive definite");

@@ -4,10 +4,10 @@
 ///
 /// It assembles the array's reduced wire-junction network from the
 /// array's public conductance() and row_conductance() alone, without
-/// RcmArray::build_parasitic_network or ResistiveNetwork, and solves it
-/// per input: by Jacobi-preconditioned CG, or by one full SparseLdlt
-/// solve in crossbar_elimination_order(). Elements are stamped in
-/// build_parasitic_network's order, so the matrix matches the array's own
+/// RcmArray::prepare or ResistiveNetwork, and solves it per input: by
+/// Jacobi-preconditioned CG, or by one full SparseLdlt solve in
+/// crossbar_elimination_order(). Elements are stamped in the order
+/// RcmArray::prepare stamps them, so the matrix matches the array's own
 /// to rounding: each dummy pad is recovered as the row conductance minus
 /// the row's crosspoint sum.
 
@@ -25,8 +25,8 @@ namespace spinsim::testing {
 class CrossbarReference {
  public:
   /// Assembles `array`'s network with every column bar, and the dummy bar,
-  /// terminated at `v_bias`.
-  explicit CrossbarReference(const RcmArray& array, double v_bias = 0.0);
+  /// terminated at ground.
+  explicit CrossbarReference(const RcmArray& array);
 
   /// Column currents by CG from zero to 1e-10 of ||b|| (the CgOptions
   /// defaults); throws NumericalError if CG does not converge.
@@ -43,10 +43,8 @@ class CrossbarReference {
 
   std::size_t rows_;
   std::size_t cols_;
-  double v_bias_;
   double g_seg_;
   CsrMatrix a_;
-  std::vector<double> dirichlet_rhs_;
   SparseLdlt ldlt_;
 };
 
